@@ -17,14 +17,13 @@
 //
 // Usage: fleet_scale [--json=FILE] [--jobs=N] [--clients=N] [--servers=N]
 //                    [--policy=fifo|wfq] [--islands=N] [--lookahead=SECS]
-//                    [--workload=mixed|speech]
-//        fleet_scale --detect-concurrency
+//                    [--workload=mixed|speech] [--detect-concurrency]
 //
 // --clients=N runs a single scale of N clients (servers default to N/125,
 // min 2; override with --servers) instead of the default ladder
-// 64/256/1000/10k/100k. Options are validated against the fleet_scale
-// entry in cli/flags.cpp — an unknown flag, a zero/negative count, or an
-// absurd scale prints usage and exits 2 before any work starts.
+// 64/256/1000/10k/100k. Options are validated against kFlags below — an
+// unknown flag, a zero/negative count, or an absurd scale prints usage and
+// exits 2 before any work starts.
 // --islands/--lookahead/--workload forward to FleetConfig (islands=0 =
 // auto shard; the scaling-curve stage of scripts/bench.sh sweeps --jobs at
 // fixed islands and reads the events_per_sec field from the JSON).
@@ -61,6 +60,12 @@ constexpr long kMaxClients = 2'000'000;
 constexpr long kMaxServers = 50'000;
 constexpr long kMaxIslands = 4'096;
 
+// The options this bench accepts; usage() renders its synopsis from them.
+const cli::FlagList kFlags = {
+    {"json", "FILE"}, {"jobs", "N"}, {"clients", "N"}, {"servers", "N"},
+    {"policy", "fifo|wfq"}, {"islands", "N"}, {"lookahead", "SECS"},
+    {"workload", "mixed|speech"}, {"detect-concurrency", ""}};
+
 struct Scale {
   std::size_t clients;
   std::size_t servers;
@@ -87,11 +92,8 @@ FleetConfig config_for(const Scale& scale, core::AdmissionPolicy policy,
 }
 
 int usage(std::ostream& out) {
-  out << "usage: fleet_scale [--json=FILE] [--jobs=N] [--clients=N]\n"
-         "                   [--servers=N] [--policy=fifo|wfq] [--islands=N]\n"
-         "                   [--lookahead=SECS] [--workload=mixed|speech]\n"
-         "       fleet_scale --detect-concurrency\n"
-         "  --clients: 1.." << kMaxClients
+  out << cli::synopsis("usage: fleet_scale", "", kFlags) << "\n"
+      << "  --clients: 1.." << kMaxClients
       << " (runs one scale instead of the ladder)\n"
          "  --servers: 1.." << kMaxServers
       << " (requires --clients; default clients/125, min 2)\n";
@@ -107,12 +109,10 @@ int main(int argc, char** argv) {
   core::AdmissionPolicy policy = core::AdmissionPolicy::kWeightedFair;
   Knobs knobs;
   try {
-    // Parse as the "fleet_scale" command so the shared per-command flag
-    // table rejects unknown options the same way the spectra CLI does.
-    std::vector<std::string> tokens = {"fleet_scale"};
-    for (int i = 1; i < argc; ++i) tokens.emplace_back(argv[i]);
-    const cli::Args args = cli::Args::parse(tokens);
-    if (const auto bad = cli::unknown_flag("fleet_scale", args)) {
+    const cli::Args args = cli::Args::parse(argc, argv);
+    SPECTRA_REQUIRE(args.command().empty(),
+                    "unexpected argument: " + args.command());
+    if (const auto bad = cli::unknown_flag(kFlags, args)) {
       std::cerr << "fleet_scale: unknown option --" << *bad << "\n";
       return usage(std::cerr);
     }
@@ -137,12 +137,7 @@ int main(int argc, char** argv) {
     SPECTRA_REQUIRE(pol == "fifo" || pol == "wfq",
                     "--policy must be fifo or wfq, got " + pol);
     if (pol == "fifo") policy = core::AdmissionPolicy::kFifo;
-    const long islands = args.get_int("islands", 0);
-    SPECTRA_REQUIRE(islands >= 0 && islands <= kMaxIslands,
-                    "--islands must be in [0, " +
-                        std::to_string(kMaxIslands) + "], got " +
-                        std::to_string(islands));
-    knobs.islands = static_cast<std::size_t>(islands);
+    knobs.islands = args.get_count("islands", 0, kMaxIslands, 0);
     knobs.lookahead = args.get_double("lookahead", 0.0);
     SPECTRA_REQUIRE(knobs.lookahead >= 0.0, "--lookahead must be >= 0");
     const std::string wl = args.get("workload", "mixed");

@@ -17,6 +17,12 @@
 // best-of-`reps` to shed scheduler noise, which only ever adds time;
 // latency percentiles come from the best rep's samples.
 //
+// A second section times the model and solver steps a decision is built
+// from, each in isolation: numeric-predictor add and query, operation-model
+// observe, and an exhaustive solve over a Pangloss-sized space (16 plans x
+// 2 servers x 3 binary fidelities). Each kernel runs 10 x --decisions
+// calls per rep; the JSON "kernels" array reports best-of-reps ns/call.
+//
 // Usage: micro_decision [--json=FILE] [--decisions=N] [--reps=N]
 #include <algorithm>
 #include <chrono>
@@ -29,8 +35,15 @@
 #include "bench_util.h"
 #include "apps/janus.h"
 #include "apps/pangloss.h"
+#include "cli/args.h"
+#include "cli/flags.h"
+#include "predict/numeric.h"
+#include "predict/operation_model.h"
 #include "scenario/experiment.h"
 #include "scenario/world.h"
+#include "solver/solver.h"
+#include "util/assert.h"
+#include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
 
@@ -174,7 +187,95 @@ DecisionSample sample_from(const core::OperationChoice& choice, double t0,
   return s;
 }
 
+// -------------------------------------------------------------- kernels
+
+struct KernelResult {
+  std::string name;
+  int calls = 0;
+  double ns_per_call = 0.0;  // best rep
+};
+
+// Kernel results land here so the optimizer cannot drop the calls.
+volatile double g_sink = 0.0;
+
+template <typename Fn>
+KernelResult time_kernel(const std::string& name, int calls, int reps,
+                         Fn&& call) {
+  KernelResult out;
+  out.name = name;
+  out.calls = calls;
+  for (int rep = 0; rep < reps; ++rep) {
+    const double t0 = wall_ms();
+    for (int i = 0; i < calls; ++i) call(i);
+    const double ns = (wall_ms() - t0) * 1e6 / calls;
+    if (rep == 0 || ns < out.ns_per_call) out.ns_per_call = ns;
+  }
+  return out;
+}
+
+predict::FeatureVector kernel_features(int plan, double len) {
+  predict::FeatureVector f;
+  f.discrete["plan"] = plan;
+  f.discrete["vocab"] = plan % 2;
+  f.continuous["len"] = len;
+  return f;
+}
+
+std::vector<KernelResult> run_kernels(int calls, int reps) {
+  // Inputs are built up front so only the kernel itself is timed.
+  util::Rng rng(1);
+  std::vector<predict::FeatureVector> features;
+  std::vector<double> demands;
+  for (int i = 0; i < 64; ++i) {
+    features.push_back(kernel_features(i % 3, rng.uniform(1.0, 4.0)));
+    demands.push_back(rng.uniform(0.0, 1e9));
+  }
+  const auto pick = [](int i) { return static_cast<std::size_t>(i % 64); };
+
+  std::vector<KernelResult> out;
+  predict::NumericPredictor trained;
+  out.push_back(time_kernel("predictor_add", calls, reps, [&](int i) {
+    trained.add(features[pick(i)], demands[pick(i)]);
+  }));
+  const predict::FeatureVector query = kernel_features(1, 2.0);
+  out.push_back(time_kernel("predictor_query", calls, reps, [&](int) {
+    g_sink = trained.predict(query);
+  }));
+
+  predict::OperationModel model;
+  monitor::OperationUsage usage;
+  usage.local_cycles = 1e8;
+  usage.remote_cycles = 2e8;
+  usage.bytes_sent = 4096;
+  usage.energy = 3.0;
+  usage.local_file_accesses.push_back({"f1", 1000.0, false, false});
+  out.push_back(time_kernel(
+      "operation_model_observe", calls, reps,
+      [&](int i) { model.observe(features[pick(i)], usage); }));
+
+  solver::AlternativeSpace space;
+  for (int i = 0; i < 16; ++i) space.plans.push_back({"p", i != 0});
+  space.servers = {1, 2};
+  space.fidelities = {{"a", {0.0, 1.0}}, {"b", {0.0, 1.0}}, {"c", {0.0, 1.0}}};
+  const auto eval = [](const solver::Alternative& a) {
+    return -std::abs(a.plan - 9.0) + a.fidelity.at("a");
+  };
+  out.push_back(time_kernel("exhaustive_solve", calls, reps, [&](int) {
+    solver::ExhaustiveSolver exhaustive;
+    g_sink = exhaustive.solve(space, eval).log_utility;
+  }));
+  return out;
+}
+
 // ----------------------------------------------------------------- main
+
+const cli::FlagList kFlags = {
+    {"json", "FILE"}, {"decisions", "N"}, {"reps", "N"}};
+
+int usage() {
+  std::cerr << cli::synopsis("usage: micro_decision", "", kFlags) << "\n";
+  return 2;
+}
 
 std::string json_scenario(const ScenarioResult& r) {
   std::ostringstream os;
@@ -198,14 +299,22 @@ std::string json_scenario(const ScenarioResult& r) {
 
 int main(int argc, char** argv) {
   std::string json_path;
-  int decisions = 300;
-  int reps = 5;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--json=", 0) == 0) json_path = arg.substr(7);
-    if (arg.rfind("--decisions=", 0) == 0)
-      decisions = std::atoi(arg.c_str() + 12);
-    if (arg.rfind("--reps=", 0) == 0) reps = std::atoi(arg.c_str() + 7);
+  int decisions = 0;
+  int reps = 0;
+  try {
+    const cli::Args args = cli::Args::parse(argc, argv);
+    SPECTRA_REQUIRE(args.command().empty(),
+                    "unexpected argument: " + args.command());
+    if (const auto bad = cli::unknown_flag(kFlags, args)) {
+      std::cerr << "micro_decision: unknown option --" << *bad << "\n";
+      return usage();
+    }
+    json_path = args.get("json", "");
+    decisions = static_cast<int>(args.get_count("decisions", 300, 100'000));
+    reps = static_cast<int>(args.get_count("reps", 5, 1'000));
+  } catch (const util::ContractError& err) {
+    std::cerr << "micro_decision: " << err.what() << "\n";
+    return usage();
   }
   std::vector<ScenarioResult> results;
 
@@ -272,6 +381,15 @@ int main(int argc, char** argv) {
   }
   std::cout << table.to_string();
 
+  const std::vector<KernelResult> kernels = run_kernels(10 * decisions, reps);
+  util::Table ktable("micro_decision: model and solver kernels (wall-clock)");
+  ktable.set_header({"kernel", "calls", "ns/call"});
+  for (const auto& k : kernels) {
+    ktable.add_row({k.name, std::to_string(k.calls),
+                    util::Table::num(k.ns_per_call, 1)});
+  }
+  std::cout << ktable.to_string();
+
   if (!json_path.empty()) {
     std::ofstream out(json_path, std::ios::trunc);
     out << "{\n  \"harness\": \"bench/micro_decision\",\n"
@@ -280,6 +398,13 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < results.size(); ++i) {
       out << json_scenario(results[i]) << (i + 1 < results.size() ? "," : "")
           << "\n";
+    }
+    out << "  ],\n  \"kernels\": [\n";
+    for (std::size_t i = 0; i < kernels.size(); ++i) {
+      out << "    {\"name\": \"" << kernels[i].name << "\", \"calls\": "
+          << kernels[i].calls << ", \"ns_per_call\": "
+          << kernels[i].ns_per_call << "}"
+          << (i + 1 < kernels.size() ? "," : "") << "\n";
     }
     out << "  ]\n}\n";
     std::cout << "wrote " << json_path << "\n";

@@ -17,7 +17,8 @@
 # all three applications follows. Perf smokes gate the decision hot path
 # and fleet throughput against scripts/perf_baseline.json floors, and a
 # memory smoke gates the 100k-client world's peak RSS against the
-# fleet_mem_ceiling bytes-per-client ceiling.
+# fleet_mem_ceiling bytes-per-client ceiling. A configure-only stage also
+# keeps google-benchmark out of the build.
 #
 # Usage: scripts/check.sh [build-dir]
 set -euo pipefail
@@ -31,6 +32,14 @@ cmake --build "$BUILD" -j "$(nproc)"
 
 echo "== tier-1: ctest =="
 ctest --test-dir "$BUILD" --output-on-failure -j "$(nproc)"
+
+echo "== no google-benchmark =="
+# The tree must configure with google-benchmark hidden, so the dependency
+# (dropped with the old micro_core bench) cannot come back unnoticed: a
+# REQUIRED find_package or a benchmark::benchmark link fails right here.
+# (--no-warn-unused-cli: nothing looks the package up, which is the point.)
+cmake -B "$BUILD-nobench" -S . -DCMAKE_DISABLE_FIND_PACKAGE_benchmark=ON \
+    --no-warn-unused-cli >/dev/null
 
 echo "== serve smoke =="
 # A real daemon on loopback: 64 concurrent loadgen sessions, a recorded

@@ -68,12 +68,12 @@ double Args::get_double(const std::string& name, double def) const {
   return out;
 }
 
-std::size_t Args::get_count(const std::string& name, long def,
-                            long cap) const {
+std::size_t Args::get_count(const std::string& name, long def, long cap,
+                            long min) const {
   const long v = get_int(name, def);
-  SPECTRA_REQUIRE(v >= 1 && v <= cap,
-                  "--" + name + " must be in [1, " + std::to_string(cap) +
-                      "], got " + std::to_string(v));
+  SPECTRA_REQUIRE(v >= min && v <= cap,
+                  "--" + name + " must be in [" + std::to_string(min) + ", " +
+                      std::to_string(cap) + "], got " + std::to_string(v));
   return static_cast<std::size_t>(v);
 }
 

@@ -1,11 +1,7 @@
 // spectra — command-line driver for the Spectra reproduction testbeds.
 //
-//   spectra speech   [--scenario=S] [--utterance=SECS] [--trials=N] [--seed=N]
-//   spectra latex    [--scenario=S] [--doc=small|large] [--trials=N] [--seed=N]
-//   spectra pangloss [--scenario=S] [--words=N] [--trials=N] [--seed=N]
-//   spectra overhead [--servers=N] [--runs=N]
-//   spectra explain (speech|latex|pangloss) [--scenario=S] [...]
-//   spectra scenarios
+// `spectra help` prints every command with its options; the option lists
+// are declared once, in cli/flags.cpp.
 //
 // `run` commands print the paper-style table for one scenario: every
 // alternative measured from an identical trained state, plus Spectra's
@@ -42,43 +38,17 @@ namespace {
 
 using namespace spectra::scenario;  // NOLINT: CLI brevity
 
+// Upper bounds for count options: far past any useful run, low enough that
+// a typo fails fast instead of allocating for hours.
+constexpr long kMaxTrials = 10'000;
+constexpr long kMaxWords = 1'000;
+
 int usage() {
   std::cout <<
       R"(spectra — self-tuning remote execution (ICDCS 2002 reproduction)
 
 usage:
-  spectra speech   [--scenario=S] [--utterance=SECS] [--trials=N] [--seed=N]
-                   [--jobs=N] [--fault-plan=FILE] [--health=on|off]
-                   [--failover=resolve|ladder] [--trace=FILE] [--metrics=FILE]
-  spectra latex    [--scenario=S] [--doc=small|large] [--trials=N] [--seed=N]
-                   [--jobs=N] [--fault-plan=FILE] [--health=on|off]
-                   [--failover=resolve|ladder] [--trace=FILE] [--metrics=FILE]
-  spectra pangloss [--scenario=S] [--words=N] [--trials=N] [--seed=N]
-                   [--jobs=N] [--fault-plan=FILE] [--health=on|off]
-                   [--failover=resolve|ladder] [--trace=FILE] [--metrics=FILE]
-  spectra overhead [--servers=N] [--runs=N] [--metrics=FILE]
-  spectra chaos    [--app=speech|latex|pangloss|all] [--plans=N] [--ops=N]
-                   [--seed=N] [--intensity=X] [--horizon=SECS] [--jobs=N]
-                   [--no-replay] [--json=FILE] [--trace=FILE] [--metrics=FILE]
-  spectra explain (speech|latex|pangloss) [--scenario=S] [--utterance=SECS]
-                  [--doc=D] [--words=N] [--seed=N] [--trace=FILE]
-                  [--metrics=FILE]
-  spectra fleet    [--clients=N] [--servers=N] [--seed=N] [--horizon=SECS]
-                   [--policy=fifo|wfq] [--queue-bound=N] [--slots=N]
-                   [--islands=N] [--lookahead=SECS] [--workload=mixed|speech]
-                   [--jobs=N] [--fault-plan=FILE] [--json=FILE]
-                   [--trace=FILE] [--metrics=FILE]
-  spectra faults   --plan=FILE   (validate a fault plan, print canonical form)
-  spectra serve    [--port=N] [--host=ADDR] [--record=FILE] [--resume=FILE]
-                   [--max-conns=N] [--max-sessions=N] [--idle-timeout=SECS]
-                   [--frame-timeout=SECS] [--stats-json=FILE]
-  spectra replay   <record> [--host=ADDR] [--port=N]
-  spectra loadgen  --port=N [--host=ADDR] [--clients=N] [--ops=N]
-                   [--app=nullop|speech|latex|pangloss] [--scenario=S]
-                   [--seed=N] [--chaos=X] [--chaos-seed=N] [--resilient]
-                   [--json=FILE]
-  spectra scenarios
-
+)" << usage_synopsis() << R"(
 flags: --verbose (component logs; SPECTRA_LOG=debug for more)
 parallelism: --jobs=N fans measured runs across N worker threads (0 = one
   per hardware thread; default 1, or SPECTRA_JOBS). Results, traces, and
@@ -91,6 +61,8 @@ observability: --trace=FILE writes one JSONL event per decision, operation
 fault plans (--fault-plan): text files of scheduled and probabilistic fault
   events (link partitions/flaps, server crashes, latency spikes, battery
   cliffs) armed after training; see DESIGN.md "Fault injection".
+  `spectra faults --plan=FILE` validates a plan and prints its canonical
+  form.
 failure handling: --health=off disables server health tracking (suspicion
   penalties and circuit breakers); --failover=ladder reverts mid-operation
   recovery to the fixed degradation ladder instead of re-running the solver
@@ -136,37 +108,6 @@ scenarios:
   pangloss: baseline file-cache cpu
 )";
   return 0;
-}
-
-template <typename S>
-S parse_scenario(const std::string& text, const std::vector<S>& all) {
-  for (const S s : all) {
-    if (name(s) == text) return s;
-  }
-  SPECTRA_REQUIRE(false, "unknown scenario: " + text);
-  throw std::logic_error("unreachable");
-}
-
-SpeechScenario speech_scenario(const Args& args) {
-  return parse_scenario<SpeechScenario>(
-      args.get("scenario", "baseline"),
-      {SpeechScenario::kBaseline, SpeechScenario::kEnergy,
-       SpeechScenario::kNetwork, SpeechScenario::kCpu,
-       SpeechScenario::kFileCache});
-}
-
-LatexScenario latex_scenario(const Args& args) {
-  return parse_scenario<LatexScenario>(
-      args.get("scenario", "baseline"),
-      {LatexScenario::kBaseline, LatexScenario::kFileCache,
-       LatexScenario::kReintegrate, LatexScenario::kEnergy});
-}
-
-PanglossScenario pangloss_scenario(const Args& args) {
-  return parse_scenario<PanglossScenario>(
-      args.get("scenario", "baseline"),
-      {PanglossScenario::kBaseline, PanglossScenario::kFileCache,
-       PanglossScenario::kCpu});
 }
 
 // Worker count for batch commands: --jobs, else SPECTRA_JOBS, else 1.
@@ -238,9 +179,9 @@ CliObs obs_args(const Args& args) {
 // merge in run order, so the table and any trace are identical for any
 // --jobs.
 template <typename Experiment, typename MakeExperiment>
-void run_table(const std::string& title, long trials, std::uint64_t seed,
-               BatchRunner& batch, obs::Observability* session,
-               MakeExperiment make) {
+void run_table(const std::string& title, std::size_t trials,
+               std::uint64_t seed, BatchRunner& batch,
+               obs::Observability* session, MakeExperiment make) {
   const auto alternatives = Experiment::alternatives();
   struct Cell {
     util::OnlineStats time, energy;
@@ -255,8 +196,7 @@ void run_table(const std::string& title, long trials, std::uint64_t seed,
     MeasuredRun spectra;
   };
   const auto trial_results = batch.map_runs(
-      session, static_cast<std::size_t>(trials),
-      [&](std::size_t t, obs::Observability* trial_obs) {
+      session, trials, [&](std::size_t t, obs::Observability* trial_obs) {
         const Experiment exp =
             make(seed + static_cast<std::uint64_t>(t) * 17, trial_obs);
         TrialResult r;
@@ -323,12 +263,12 @@ void run_table(const std::string& title, long trials, std::uint64_t seed,
 }
 
 int cmd_speech(const Args& args) {
-  const auto sc = speech_scenario(args);
+  const auto sc = parse_speech_scenario(args.get("scenario", "baseline"));
   CliObs obs = obs_args(args);
   BatchRunner batch(jobs_arg(args));
   run_table<SpeechExperiment>(
       "Speech recognition — scenario: " + name(sc),
-      args.get_int("trials", 3),
+      args.get_count("trials", 3, kMaxTrials),
       static_cast<std::uint64_t>(args.get_int("seed", 1000)), batch,
       obs.ptr(),
       [&](std::uint64_t seed, obs::Observability* trial_obs) {
@@ -346,7 +286,7 @@ int cmd_speech(const Args& args) {
 }
 
 int cmd_latex(const Args& args) {
-  const auto sc = latex_scenario(args);
+  const auto sc = parse_latex_scenario(args.get("scenario", "baseline"));
   const std::string doc = args.get("doc", "small");
   SPECTRA_REQUIRE(doc == "small" || doc == "large",
                   "--doc must be small or large");
@@ -354,7 +294,7 @@ int cmd_latex(const Args& args) {
   BatchRunner batch(jobs_arg(args));
   run_table<LatexExperiment>(
       "Latex (" + doc + " document) — scenario: " + name(sc),
-      args.get_int("trials", 3),
+      args.get_count("trials", 3, kMaxTrials),
       static_cast<std::uint64_t>(args.get_int("seed", 1000)), batch,
       obs.ptr(),
       [&](std::uint64_t seed, obs::Observability* trial_obs) {
@@ -372,9 +312,9 @@ int cmd_latex(const Args& args) {
 }
 
 int cmd_pangloss(const Args& args) {
-  const auto sc = pangloss_scenario(args);
-  const int words = static_cast<int>(args.get_int("words", 10));
-  const long trials = args.get_int("trials", 1);
+  const auto sc = parse_pangloss_scenario(args.get("scenario", "baseline"));
+  const int words = static_cast<int>(args.get_count("words", 10, kMaxWords));
+  const std::size_t trials = args.get_count("trials", 1, kMaxTrials);
   const std::uint64_t seed =
       static_cast<std::uint64_t>(args.get_int("seed", 1000));
 
@@ -386,8 +326,7 @@ int cmd_pangloss(const Args& args) {
     MeasuredRun spectra;
   };
   const auto trial_results = batch.map_runs(
-      obs.ptr(), static_cast<std::size_t>(trials),
-      [&](std::size_t t, obs::Observability* trial_obs) {
+      obs.ptr(), trials, [&](std::size_t t, obs::Observability* trial_obs) {
         PanglossExperiment::Config cfg;
         cfg.scenario = sc;
         cfg.seed = seed + static_cast<std::uint64_t>(t) * 17;
@@ -444,8 +383,9 @@ int cmd_pangloss(const Args& args) {
 int cmd_overhead(const Args& args) {
   CliObs obs = obs_args(args);
   OverheadExperiment::Config cfg;
-  cfg.servers = static_cast<std::size_t>(args.get_int("servers", 1));
-  cfg.measured_runs = static_cast<int>(args.get_int("runs", 200));
+  // Overhead servers take machine ids 1..N; id 9 is the file server.
+  cfg.servers = args.get_count("servers", 1, 8, 0);
+  cfg.measured_runs = static_cast<int>(args.get_count("runs", 200, 1'000'000));
   cfg.obs = obs.ptr();
   const auto r = OverheadExperiment(cfg).run();
   util::Table table("Null-operation overhead, " +
@@ -472,12 +412,13 @@ int cmd_explain(const Args& args) {
                   "explain needs an application: speech|latex|pangloss");
   const std::string app = args.positionals()[0];
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1000));
+  const int words = static_cast<int>(args.get_count("words", 10, kMaxWords));
   CliObs obs = obs_args(args);
 
   std::unique_ptr<World> world;
   if (app == "speech") {
     SpeechExperiment::Config cfg;
-    cfg.scenario = speech_scenario(args);
+    cfg.scenario = parse_speech_scenario(args.get("scenario", "baseline"));
     cfg.seed = seed;
     cfg.obs = obs.ptr();
     cfg.spectra_overrides = [](core::SpectraClientConfig& c) {
@@ -491,7 +432,7 @@ int cmd_explain(const Args& args) {
                            args.get_double("utterance", 2.0));
   } else if (app == "latex") {
     LatexExperiment::Config cfg;
-    cfg.scenario = latex_scenario(args);
+    cfg.scenario = parse_latex_scenario(args.get("scenario", "baseline"));
     cfg.seed = seed;
     cfg.obs = obs.ptr();
     cfg.spectra_overrides = [](core::SpectraClientConfig& c) {
@@ -503,14 +444,13 @@ int cmd_explain(const Args& args) {
     world->latex().execute(world->spectra(), doc);
   } else if (app == "pangloss") {
     PanglossExperiment::Config cfg;
-    cfg.scenario = pangloss_scenario(args);
+    cfg.scenario = parse_pangloss_scenario(args.get("scenario", "baseline"));
     cfg.seed = seed;
     cfg.obs = obs.ptr();
     cfg.spectra_overrides = [](core::SpectraClientConfig& c) {
       c.trace_decisions = true;
     };
     world = PanglossExperiment(cfg).trained_world();
-    const int words = static_cast<int>(args.get_int("words", 10));
     world->spectra().begin_fidelity_op(
         apps::PanglossApp::kOperation,
         {{"words", static_cast<double>(words)}});
@@ -553,8 +493,8 @@ int cmd_chaos(const Args& args) {
     if (i > 0) json << ",\n";
     SoakConfig cfg;
     cfg.app = apps_to_soak[i];
-    cfg.plans = static_cast<int>(args.get_int("plans", 25));
-    cfg.ops_per_plan = static_cast<int>(args.get_int("ops", 4));
+    cfg.plans = static_cast<int>(args.get_count("plans", 25, 10'000));
+    cfg.ops_per_plan = static_cast<int>(args.get_count("ops", 4, 1'000));
     cfg.base_seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
     cfg.chaos.intensity = args.get_double("intensity", 1.0);
     cfg.chaos.horizon = args.get_double("horizon", 60.0);
@@ -590,11 +530,9 @@ int cmd_fleet(const Args& args) {
                   "--policy must be fifo or wfq");
   cfg.admission.policy = policy == "fifo" ? core::AdmissionPolicy::kFifo
                                           : core::AdmissionPolicy::kWeightedFair;
-  cfg.admission.queue_bound =
-      static_cast<std::size_t>(args.get_int("queue-bound", 64));
-  cfg.admission.service_slots =
-      static_cast<std::size_t>(args.get_int("slots", 4));
-  cfg.islands = static_cast<std::size_t>(args.get_int("islands", 0));
+  cfg.admission.queue_bound = args.get_count("queue-bound", 64, 1'000'000, 0);
+  cfg.admission.service_slots = args.get_count("slots", 4, 4096);
+  cfg.islands = args.get_count("islands", 0, 4096, 0);  // 0 = auto
   cfg.lookahead = args.get_double("lookahead", 0.0);
   const std::string workload = args.get("workload", "mixed");
   SPECTRA_REQUIRE(workload == "mixed" || workload == "speech",
@@ -645,7 +583,7 @@ int cmd_fleet(const Args& args) {
 }
 
 int cmd_faults(const Args& args) {
-  const std::string path = args.get("plan", args.get("fault-plan", ""));
+  const std::string path = args.get("plan", "");
   SPECTRA_REQUIRE(!path.empty(), "faults needs --plan=FILE");
   const auto plan = fault::FaultPlan::load(path);
   util::Table table("Fault plan: " + path);
@@ -663,9 +601,7 @@ int cmd_faults(const Args& args) {
 int cmd_serve(const Args& args) {
   serve::ServeConfig cfg;
   cfg.host = args.get("host", "127.0.0.1");
-  const long port = args.get_int("port", 0);
-  SPECTRA_REQUIRE(port >= 0 && port <= 65535, "--port must be 0..65535");
-  cfg.port = static_cast<std::uint16_t>(port);
+  cfg.port = static_cast<std::uint16_t>(args.get_count("port", 0, 65535, 0));
   cfg.record_path = args.get("record", "");
   cfg.resume_path = args.get("resume", "");
   cfg.max_connections = args.get_count("max-conns", 256, 65536);
@@ -743,7 +679,9 @@ int cmd_replay(const Args& args) {
   serve::ReplayConfig cfg;
   cfg.record_path = args.positionals()[0];
   cfg.host = args.get("host", "127.0.0.1");
-  cfg.port = static_cast<int>(args.get_int("port", -1));
+  cfg.port = args.option("port")
+                 ? static_cast<int>(args.get_count("port", 0, 65535))
+                 : -1;  // in-process
   const serve::ReplayResult r = serve::run_replay(cfg, app_service_factory());
 
   util::Table table("replay: " + cfg.record_path);

@@ -133,18 +133,6 @@ std::unique_ptr<World> nullop_session_world(const std::string& scenario,
                      [](World& w) { prepare_nullop_world(w); });
 }
 
-// ---- scenario parsing ----------------------------------------------------
-
-template <typename S>
-S parse_scenario(const std::string& text, const std::vector<S>& all) {
-  const std::string want = text.empty() ? "baseline" : text;
-  for (const S s : all) {
-    if (name(s) == want) return s;
-  }
-  SPECTRA_REQUIRE(false, "unknown scenario: " + want);
-  throw std::logic_error("unreachable");
-}
-
 // ---- the session ---------------------------------------------------------
 
 class WorldDecisionService : public core::DecisionService {
@@ -309,17 +297,15 @@ class WorldDecisionService : public core::DecisionService {
 std::unique_ptr<core::DecisionService> make_session(const std::string& app,
                                                     const std::string& scenario,
                                                     std::uint64_t seed) {
+  const std::string want = scenario.empty() ? "baseline" : scenario;
   if (app == "nullop" || app.empty()) {
     return std::make_unique<WorldDecisionService>(
-        ServiceApp::kNullop, "nullop", scenario.empty() ? "baseline" : scenario,
-        seed, nullop_session_world(scenario, seed));
+        ServiceApp::kNullop, "nullop", want, seed,
+        nullop_session_world(scenario, seed));
   }
   if (app == "speech") {
     SpeechExperiment::Config cfg;
-    cfg.scenario = parse_scenario<SpeechScenario>(
-        scenario, {SpeechScenario::kBaseline, SpeechScenario::kEnergy,
-                   SpeechScenario::kNetwork, SpeechScenario::kCpu,
-                   SpeechScenario::kFileCache});
+    cfg.scenario = parse_speech_scenario(want);
     cfg.seed = seed;
     return std::make_unique<WorldDecisionService>(
         ServiceApp::kSpeech, "speech", name(cfg.scenario), seed,
@@ -327,9 +313,7 @@ std::unique_ptr<core::DecisionService> make_session(const std::string& app,
   }
   if (app == "latex") {
     LatexExperiment::Config cfg;
-    cfg.scenario = parse_scenario<LatexScenario>(
-        scenario, {LatexScenario::kBaseline, LatexScenario::kFileCache,
-                   LatexScenario::kReintegrate, LatexScenario::kEnergy});
+    cfg.scenario = parse_latex_scenario(want);
     cfg.seed = seed;
     return std::make_unique<WorldDecisionService>(
         ServiceApp::kLatex, "latex", name(cfg.scenario), seed,
@@ -337,9 +321,7 @@ std::unique_ptr<core::DecisionService> make_session(const std::string& app,
   }
   if (app == "pangloss") {
     PanglossExperiment::Config cfg;
-    cfg.scenario = parse_scenario<PanglossScenario>(
-        scenario, {PanglossScenario::kBaseline, PanglossScenario::kFileCache,
-                   PanglossScenario::kCpu});
+    cfg.scenario = parse_pangloss_scenario(want);
     cfg.seed = seed;
     return std::make_unique<WorldDecisionService>(
         ServiceApp::kPangloss, "pangloss", name(cfg.scenario), seed,

@@ -1,5 +1,8 @@
 #include "scenario/scenarios.h"
 
+#include <initializer_list>
+#include <stdexcept>
+
 #include "monitor/battery_monitor.h"
 #include "util/assert.h"
 
@@ -33,6 +36,38 @@ std::string name(PanglossScenario s) {
     case PanglossScenario::kCpu: return "cpu";
   }
   return "?";
+}
+
+namespace {
+
+template <typename S>
+S parse_scenario(const std::string& text, std::initializer_list<S> all) {
+  for (const S s : all) {
+    if (name(s) == text) return s;
+  }
+  SPECTRA_REQUIRE(false, "unknown scenario: " + text);
+  throw std::logic_error("unreachable");
+}
+
+}  // namespace
+
+SpeechScenario parse_speech_scenario(const std::string& text) {
+  return parse_scenario(
+      text, {SpeechScenario::kBaseline, SpeechScenario::kEnergy,
+             SpeechScenario::kNetwork, SpeechScenario::kCpu,
+             SpeechScenario::kFileCache});
+}
+
+LatexScenario parse_latex_scenario(const std::string& text) {
+  return parse_scenario(
+      text, {LatexScenario::kBaseline, LatexScenario::kFileCache,
+             LatexScenario::kReintegrate, LatexScenario::kEnergy});
+}
+
+PanglossScenario parse_pangloss_scenario(const std::string& text) {
+  return parse_scenario(
+      text, {PanglossScenario::kBaseline, PanglossScenario::kFileCache,
+             PanglossScenario::kCpu});
 }
 
 void pin_energy_importance(World& world, double c) {

@@ -22,6 +22,11 @@ std::string name(SpeechScenario s);
 std::string name(LatexScenario s);
 std::string name(PanglossScenario s);
 
+// Inverses of name(); throw util::ContractError("unknown scenario: X").
+SpeechScenario parse_speech_scenario(const std::string& text);
+LatexScenario parse_latex_scenario(const std::string& text);
+PanglossScenario parse_pangloss_scenario(const std::string& text);
+
 // Energy-conservation importance pinned in the battery scenarios. The
 // paper's c comes from goal-directed adaptation and is not reported; these
 // values correspond to its "ambitious" (10-hour Itsy) and "very aggressive"

@@ -5,6 +5,8 @@
 #include "util/assert.h"
 #include "util/log.h"
 
+#include <map>
+#include <set>
 #include <sstream>
 
 namespace spectra::cli {
@@ -53,6 +55,20 @@ TEST(ArgsTest, CountsRejectNegativeZeroAndOversized) {
   EXPECT_THROW(args.get_count("max-conns", 256, 65536), util::ContractError);
   EXPECT_EQ(args.get_count("absent", 8, 4096), 8u);     // default passes
   EXPECT_EQ(args.get_count("max-conns", 1, 100000), 100000u);  // at cap
+
+  // A lower bound of 0 admits zero ("auto"/"none") but still no negatives.
+  const auto fleet = Args::parse(
+      {"fleet", "--islands=0", "--queue-bound=-1", "--slots=0"});
+  EXPECT_EQ(fleet.get_count("islands", 0, 4096, 0), 0u);
+  EXPECT_THROW(fleet.get_count("slots", 4, 4096), util::ContractError);
+  try {
+    fleet.get_count("queue-bound", 64, 1'000'000, 0);
+    ADD_FAILURE() << "--queue-bound=-1 accepted";
+  } catch (const util::ContractError& e) {
+    EXPECT_NE(std::string(e.what()).find("--queue-bound must be in [0, "),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ArgsTest, MalformedOptionsRejected) {
@@ -110,6 +126,74 @@ TEST(FlagsTest, UnknownCommandIsNotAFlagError) {
   // validator stays quiet so the message names the command, not a flag.
   const auto args = Args::parse({"bogus", "--whatever=1"});
   EXPECT_FALSE(unknown_flag("bogus", args).has_value());
+}
+
+TEST(FlagsTest, VerboseIsAcceptedByEveryCommand) {
+  for (const Command& c : commands()) {
+    const auto args = Args::parse({c.name, "--verbose"});
+    EXPECT_FALSE(unknown_flag(c.name, args).has_value()) << c.name;
+  }
+}
+
+TEST(FlagsTest, FaultPlanAliasRemovedFromFaults) {
+  EXPECT_FALSE(unknown_flag("faults", Args::parse({"faults", "--plan=p"})));
+  const auto bad =
+      unknown_flag("faults", Args::parse({"faults", "--fault-plan=p"}));
+  ASSERT_TRUE(bad.has_value());
+  EXPECT_EQ(*bad, "fault-plan");
+}
+
+TEST(FlagsTest, StandaloneListChecksOnlyItsOwnFlags) {
+  const FlagList tool = {{"json", "FILE"}, {"reps", "N"}};
+  EXPECT_FALSE(unknown_flag(tool, Args::parse({"--reps=3", "--verbose"})));
+  const auto bad = unknown_flag(tool, Args::parse({"--decison=5"}));
+  ASSERT_TRUE(bad.has_value());
+  EXPECT_EQ(*bad, "decison");
+}
+
+// Option names per command, read back from the rendered usage synopsis.
+std::map<std::string, std::set<std::string>> synopsis_flags() {
+  std::map<std::string, std::set<std::string>> out;
+  std::istringstream in(usage_synopsis());
+  std::string line, current;
+  while (std::getline(in, line)) {
+    std::istringstream words(line);
+    std::string w;
+    words >> w;
+    if (w == "spectra") {
+      words >> current;
+      out[current];  // commands without options still get an entry
+    }
+    for (std::size_t at = line.find("--"); at != std::string::npos;
+         at = line.find("--", at + 2)) {
+      const std::size_t end = line.find_first_of("=] ", at);
+      out[current].insert(line.substr(at + 2, end - at - 2));
+    }
+  }
+  return out;
+}
+
+TEST(FlagsTest, SynopsisListsExactlyTheAcceptedFlags) {
+  const auto printed = synopsis_flags();
+  ASSERT_EQ(printed.size(), commands().size());
+  for (const Command& c : commands()) {
+    std::set<std::string> accepted;
+    for (const Flag& f : *allowed_flags(c.name)) accepted.insert(f.name);
+    ASSERT_TRUE(printed.count(c.name)) << c.name;
+    EXPECT_EQ(printed.at(c.name), accepted) << c.name;
+  }
+  EXPECT_TRUE(printed.at("overhead").count("trace"));
+}
+
+TEST(FlagsTest, SynopsisWrapsBeforeEightyColumns) {
+  std::istringstream in(usage_synopsis());
+  std::string line;
+  while (std::getline(in, line)) {
+    EXPECT_LE(line.size(), 79u) << line;
+    EXPECT_NE(line.back(), ' ') << line;
+  }
+  EXPECT_EQ(synopsis("tool", "<in>", {{"out", "FILE", true}, {"quiet", ""}}),
+            "tool <in> --out=FILE [--quiet]");
 }
 
 TEST(FlagsTest, FirstUnknownAlphabetically) {

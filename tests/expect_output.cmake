@@ -1,0 +1,29 @@
+# Runs one program and checks its exit status and combined stdout+stderr.
+#
+#   cmake -DRC=<status> -DEXPECT=<regex> -P expect_output.cmake -- <program> [args...]
+#
+# Fails unless the program exits with <status> and its output matches
+# <regex>. In CMake regexes `.` also matches a newline, so one pattern can
+# assert that one line of output follows another.
+set(cmd)
+set(after_dashes FALSE)
+math(EXPR last "${CMAKE_ARGC} - 1")
+foreach(i RANGE ${last})
+  if(after_dashes)
+    list(APPEND cmd "${CMAKE_ARGV${i}}")
+  elseif("${CMAKE_ARGV${i}}" STREQUAL "--")
+    set(after_dashes TRUE)
+  endif()
+endforeach()
+if(NOT cmd)
+  message(FATAL_ERROR "usage: cmake -DRC=N -DEXPECT=RE -P ${CMAKE_SCRIPT_MODE_FILE} -- <program> [args...]")
+endif()
+
+execute_process(COMMAND ${cmd} RESULT_VARIABLE rc
+                OUTPUT_VARIABLE out ERROR_VARIABLE out)
+if(NOT "${rc}" STREQUAL "${RC}")
+  message(FATAL_ERROR "expected exit status ${RC}, got ${rc}; output:\n${out}")
+endif()
+if(NOT out MATCHES "${EXPECT}")
+  message(FATAL_ERROR "output does not match:\n  ${EXPECT}\noutput:\n${out}")
+endif()

@@ -32,6 +32,31 @@ TEST(ScenarioTest, NamesAreUnique) {
   EXPECT_EQ(name(PanglossScenario::kCpu), "cpu");
 }
 
+TEST(ScenarioTest, ParsersInvertName) {
+  for (const auto s : {SpeechScenario::kBaseline, SpeechScenario::kEnergy,
+                       SpeechScenario::kNetwork, SpeechScenario::kCpu,
+                       SpeechScenario::kFileCache}) {
+    EXPECT_EQ(parse_speech_scenario(name(s)), s) << name(s);
+  }
+  for (const auto s : {LatexScenario::kBaseline, LatexScenario::kFileCache,
+                       LatexScenario::kReintegrate, LatexScenario::kEnergy}) {
+    EXPECT_EQ(parse_latex_scenario(name(s)), s) << name(s);
+  }
+  for (const auto s : {PanglossScenario::kBaseline,
+                       PanglossScenario::kFileCache, PanglossScenario::kCpu}) {
+    EXPECT_EQ(parse_pangloss_scenario(name(s)), s) << name(s);
+  }
+  // Names are per application: "network" exists only for speech.
+  try {
+    parse_latex_scenario("network");
+    ADD_FAILURE() << "latex accepted the speech-only scenario";
+  } catch (const util::ContractError& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown scenario: network"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(ScenarioTest, SpeechEnergyPinsImportance) {
   auto w = itsy();
   apply(*w, SpeechScenario::kEnergy);
