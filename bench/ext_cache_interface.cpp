@@ -61,7 +61,9 @@ double cache_prediction_ms(bool incremental, std::size_t files) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  // Sequential; --jobs is accepted (and checked) like every bench's.
+  (void)bench::jobs_from_args(argc, argv);
   std::cout << "Extension: incremental cache-state interface "
                "(replacing the paper's dump-everything Coda call)\n\n";
   util::Table table;

@@ -95,7 +95,9 @@ util::Seconds translate_sequential(World& w, int words, const Placement& p) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  // Sequential; --jobs is accepted (and checked) like every bench's.
+  (void)bench::jobs_from_args(argc, argv);
   std::cout << "Extension: parallel execution plans for Pangloss-Lite "
                "(paper §4.3 future work)\n\n";
 

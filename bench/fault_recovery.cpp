@@ -33,9 +33,9 @@ namespace {
 using apps::LatexApp;
 
 struct PolicyResult {
-  bench::Aggregate recovery;   // elapsed of the interrupted op
-  bench::Aggregate follow_up;  // elapsed of the next op after the crash
-  int local_fallbacks = 0;     // interrupted ops that collapsed to local
+  Aggregate recovery;       // elapsed of the interrupted op
+  Aggregate follow_up;      // elapsed of the next op after the crash
+  int local_fallbacks = 0;  // interrupted ops that collapsed to local
 };
 
 struct Trial {
@@ -113,12 +113,9 @@ std::string policy_json(const PolicyResult& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  BatchRunner batch(bench::jobs_from_args(argc, argv));
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--json=", 0) == 0) json_path = arg.substr(7);
-  }
+  const auto options = bench::parse_options(argc, argv, {{"json", "FILE"}});
+  BatchRunner batch(options.jobs);
+  const std::string json_path = options.args.get("json", "");
 
   const auto seeds = bench::trial_seeds();
   std::cout << "Recovery cost when servers crash mid-operation (ThinkPad "

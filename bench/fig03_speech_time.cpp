@@ -5,7 +5,7 @@
 // Spectra selects ("S"), and the execution time when Spectra chooses —
 // which includes Spectra's decision overhead ("Spectra (w/ overhead)").
 // Mean of 5 trials with 90% confidence intervals, as in the paper.
-#include "speech_common.h"
+#include "figure.h"
 
 int main(int argc, char** argv) {
   spectra::scenario::BatchRunner batch(

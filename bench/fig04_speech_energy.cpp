@@ -6,7 +6,7 @@
 // than the distributed plans (software-FP search on the SA-1100), and
 // remote costs less than hybrid because hybrid keeps the front-end/prescan
 // computation on the client.
-#include "speech_common.h"
+#include "figure.h"
 
 int main(int argc, char** argv) {
   spectra::scenario::BatchRunner batch(

@@ -5,7 +5,7 @@
 // (reintegrate + battery power + very aggressive lifetime goal).
 // Alternatives: local (233 MHz 560X), server A (400 MHz), server B
 // (933 MHz), over shared 2 Mb/s wireless.
-#include "latex_common.h"
+#include "figure.h"
 
 int main(int argc, char** argv) {
   spectra::scenario::BatchRunner batch(

@@ -3,7 +3,7 @@
 // wins the baseline and reintegrate scenarios (the predicted file set of
 // the large document does not include the modified small-document input,
 // so no reintegration is forced); a cold server B loses to server A.
-#include "latex_common.h"
+#include "figure.h"
 
 int main(int argc, char** argv) {
   spectra::scenario::BatchRunner batch(

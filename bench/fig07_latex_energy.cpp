@@ -6,7 +6,7 @@
 // reintegration cost is common to all remote plans), so Spectra picks B
 // even though local execution would be faster. For the large document B
 // saves both time and energy.
-#include "latex_common.h"
+#include "figure.h"
 
 int main(int argc, char** argv) {
   spectra::scenario::BatchRunner batch(

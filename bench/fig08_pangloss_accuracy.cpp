@@ -24,15 +24,8 @@ int main(int argc, char** argv) {
     table.set_header({"sentence (words)", "percentile", "Spectra chose"});
     for (const int words : bench::pangloss_test_sentences()) {
       const auto cell = bench::run_pangloss_cell(batch, sc, words);
-      std::string mode;
-      int best_count = 0;
-      for (const auto& [label, count] : cell.chosen) {
-        if (count > best_count) {
-          mode = label;
-          best_count = count;
-        }
-      }
-      table.add_row({std::to_string(words), cell.percentile.cell(1), mode});
+      table.add_row(
+          {std::to_string(words), cell.percentile.cell(1), cell.chosen});
     }
     std::cout << table.to_string() << '\n';
   }

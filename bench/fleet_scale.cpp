@@ -37,7 +37,6 @@
 #include <string>
 #include <vector>
 
-#include "bench_util.h"
 #include "cli/args.h"
 #include "cli/flags.h"
 #include "core/admission.h"
@@ -108,6 +107,7 @@ int main(int argc, char** argv) {
   std::size_t single_servers = 0;
   core::AdmissionPolicy policy = core::AdmissionPolicy::kWeightedFair;
   Knobs knobs;
+  std::size_t jobs = 1;
   try {
     const cli::Args args = cli::Args::parse(argc, argv);
     SPECTRA_REQUIRE(args.command().empty(),
@@ -116,11 +116,15 @@ int main(int argc, char** argv) {
       std::cerr << "fleet_scale: unknown option --" << *bad << "\n";
       return usage(std::cerr);
     }
+    if (const auto bad = cli::misused_flag(kFlags, args)) {
+      std::cerr << "fleet_scale: " << *bad << "\n";
+      return usage(std::cerr);
+    }
     if (args.has_flag("detect-concurrency")) {
       // What the pool would actually use for --jobs=0: one worker per
       // hardware thread (floor 1). bench.sh records both numbers.
       const std::size_t hw = exec::ThreadPool::hardware_concurrency();
-      exec::ThreadPool pool(scenario::resolve_jobs(0));
+      exec::ThreadPool pool(hw);
       std::cout << "hardware_concurrency " << hw << "\n"
                 << "pool_workers " << pool.size() << "\n";
       return 0;
@@ -144,12 +148,11 @@ int main(int argc, char** argv) {
     SPECTRA_REQUIRE(wl == "mixed" || wl == "speech",
                     "--workload must be mixed or speech, got " + wl);
     if (wl == "speech") knobs.workload = FleetWorkload::kSpeech;
-    SPECTRA_REQUIRE(args.get_int("jobs", 0) >= 0, "--jobs must be >= 0");
+    jobs = cli::jobs_arg(args);
   } catch (const util::ContractError& err) {
     std::cerr << "fleet_scale: " << err.what() << "\n";
     return usage(std::cerr);
   }
-  const std::size_t jobs = bench::jobs_from_args(argc, argv);
 
   std::vector<Scale> scales;
   if (single_clients > 0) {

@@ -32,7 +32,6 @@
 #include <string>
 #include <vector>
 
-#include "bench_util.h"
 #include "apps/janus.h"
 #include "apps/pangloss.h"
 #include "cli/args.h"
@@ -130,34 +129,9 @@ ScenarioResult run_scenario(const std::string& name, int decisions, int reps,
 
 // ---------------------------------------------------------------- nullop
 
-constexpr const char* kNullOp = "null.op";
-
-void install_null_service(core::SpectraServer& server) {
-  server.register_service(kNullOp, [](const rpc::Request&) {
-    rpc::Response r;
-    r.ok = true;
-    r.payload = 64.0;
-    return r;
-  });
-}
-
 std::unique_ptr<World> nullop_world(std::size_t servers) {
-  WorldConfig wc;
-  wc.testbed = Testbed::kOverhead;
-  wc.seed = 1;
-  wc.overhead_servers = servers;
-  auto world = std::make_unique<World>(wc);
-  for (MachineId id : world->server_ids()) {
-    install_null_service(world->server(id));
-  }
-  install_null_service(world->spectra().local_server());
-  core::OperationDesc desc;
-  desc.name = kNullOp;
-  desc.plans = {{"local", false}, {"remote", true}};
-  desc.fidelities = {{"level", {0.0, 1.0}}};
-  desc.latency_fn = solver::inverse_latency();
-  desc.fidelity_fn = [](const std::map<std::string, double>&) { return 1.0; };
-  world->spectra().register_fidelity(std::move(desc));
+  auto world = overhead_world(servers, 1);
+  prepare_null_op(*world);
   world->settle(6.0);
   // Train past the exploration phase so measured decisions run the full
   // model + solver path.
@@ -166,10 +140,7 @@ std::unique_ptr<World> nullop_world(std::size_t servers) {
     local.plan = 0;
     local.fidelity["level"] = 1.0;
     world->spectra().begin_fidelity_op_forced(kNullOp, {}, "", local);
-    rpc::Request req;
-    req.op_type = kNullOp;
-    req.payload = 64.0;
-    world->spectra().do_local_op(kNullOp, req);
+    world->spectra().do_local_op(kNullOp, null_request());
     world->spectra().end_fidelity_op();
   }
   return world;
@@ -309,6 +280,10 @@ int main(int argc, char** argv) {
       std::cerr << "micro_decision: unknown option --" << *bad << "\n";
       return usage();
     }
+    if (const auto bad = cli::misused_flag(kFlags, args)) {
+      std::cerr << "micro_decision: " << *bad << "\n";
+      return usage();
+    }
     json_path = args.get("json", "");
     decisions = static_cast<int>(args.get_count("decisions", 300, 100'000));
     reps = static_cast<int>(args.get_count("reps", 5, 1'000));
@@ -324,10 +299,7 @@ int main(int argc, char** argv) {
       const double t0 = wall_ms();
       const auto choice = world->spectra().begin_fidelity_op(kNullOp, {});
       const double t1 = wall_ms();
-      rpc::Request req;
-      req.op_type = kNullOp;
-      req.payload = 64.0;
-      world->spectra().do_local_op(kNullOp, req);
+      world->spectra().do_local_op(kNullOp, null_request());
       world->spectra().end_fidelity_op();
       return sample_from(choice, t0, t1);
     }));

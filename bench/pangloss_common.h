@@ -2,8 +2,6 @@
 // relative utility vs a zero-overhead oracle).
 #pragma once
 
-#include <iostream>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -15,55 +13,36 @@ namespace spectra::bench {
 struct PanglossCell {
   // Percentile of Spectra's chosen alternative among all alternatives
   // ranked by achieved utility (Fig 8; 99 = best choice).
-  Aggregate percentile;
+  scenario::Aggregate percentile;
   // Spectra's achieved utility / the oracle's best utility (Fig 9).
-  Aggregate relative_utility;
-  std::map<std::string, int> chosen;
+  scenario::Aggregate relative_utility;
+  // The alternative Spectra chose most often.
+  std::string chosen;
 };
 
-// Trials fan out across the batch runner (seeds x ~97 alternatives,
-// nested); the cell's statistics are accumulated afterwards in seed order,
-// so results are bit-identical for any --jobs.
+// trial_count() trials of one scenario and sentence length
+// (scenario::run_trials), scored per trial by PanglossExperiment::score.
 inline PanglossCell run_pangloss_cell(scenario::BatchRunner& batch,
                                       scenario::PanglossScenario sc,
                                       int words) {
   using scenario::PanglossExperiment;
-  const auto alts = PanglossExperiment::alternatives();
-  const auto seeds = trial_seeds();
-
-  struct Trial {
-    std::vector<double> utilities;  // one per alternative, in order
-    double spectra_utility = 0.0;
-    std::string spectra_label;
-  };
-  const auto trials = batch.map(seeds.size(), [&](std::size_t t) {
-    PanglossExperiment::Config cfg;
-    cfg.scenario = sc;
-    cfg.seed = seeds[t];
-    cfg.test_words = words;
-    const PanglossExperiment experiment(cfg);
-    Trial out;
-    out.utilities = batch.map(alts.size(), [&](std::size_t a) {
-      const auto run = experiment.measure(alts[a]);
-      return PanglossExperiment::achieved_utility(run, alts[a]);
-    });
-    const auto s = experiment.run_spectra();
-    out.spectra_utility =
-        PanglossExperiment::achieved_utility(s, s.choice.alternative);
-    out.spectra_label = PanglossExperiment::label(s.choice.alternative);
-    return out;
-  });
-
+  const auto trials = scenario::run_trials(
+      batch, nullptr, trial_count(), kFirstSeed,
+      [&](std::uint64_t seed, obs::Observability* trial_obs) {
+        PanglossExperiment::Config cfg;
+        cfg.scenario = sc;
+        cfg.seed = seed;
+        cfg.test_words = words;
+        cfg.obs = trial_obs;
+        return PanglossExperiment(cfg);
+      });
   PanglossCell cell;
   for (const auto& trial : trials) {
-    double best = 0.0;
-    for (const double u : trial.utilities) best = std::max(best, u);
-    cell.percentile.stats.add(
-        util::percentile_rank(trial.utilities, trial.spectra_utility));
-    cell.relative_utility.stats.add(
-        best > 0.0 ? trial.spectra_utility / best : 0.0);
-    ++cell.chosen[trial.spectra_label];
+    const auto score = PanglossExperiment::score(trial);
+    cell.percentile.stats.add(score.percentile);
+    cell.relative_utility.stats.add(score.relative_utility);
   }
+  cell.chosen = scenario::most_chosen(trials, &PanglossExperiment::label);
   return cell;
 }
 

@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 
+#include "exec/thread_pool.h"
 #include "util/assert.h"
 
 namespace spectra::cli {
@@ -84,6 +85,23 @@ std::set<std::string> Args::given() const {
     out.insert(k);
   }
   return out;
+}
+
+std::size_t jobs_arg(const Args& args) {
+  constexpr long kMaxJobs = 1024;
+  long requested = 1;
+  const char* env = std::getenv("SPECTRA_JOBS");
+  if (args.option("jobs")) {
+    requested = static_cast<long>(args.get_count("jobs", 1, kMaxJobs, 0));
+  } else if (env != nullptr && *env != '\0') {
+    char* end = nullptr;
+    requested = std::strtol(env, &end, 10);
+    SPECTRA_REQUIRE(*end == '\0' && requested >= 0 && requested <= kMaxJobs,
+                    "SPECTRA_JOBS must be an integer in [0, " +
+                        std::to_string(kMaxJobs) + "], got: " + env);
+  }
+  if (requested == 0) return exec::ThreadPool::hardware_concurrency();
+  return static_cast<std::size_t>(requested);
 }
 
 }  // namespace spectra::cli

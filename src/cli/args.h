@@ -48,4 +48,9 @@ class Args {
   std::set<std::string> flags_;                 // --flag
 };
 
+// Worker count for batch work: --jobs=N, else the SPECTRA_JOBS environment
+// variable, else 1; 0 means one worker per hardware thread. A value that
+// is not an integer in [0, 1024] throws util::ContractError.
+std::size_t jobs_arg(const Args& args);
+
 }  // namespace spectra::cli

@@ -18,6 +18,16 @@ const Flag kMetrics{"metrics", "FILE"};
 // Accepted by every command.
 const FlagList kGlobal = {{"verbose", ""}};
 
+// The declaration of `name` in `list` or kGlobal, or nullptr.
+const Flag* declared(const FlagList& list, const std::string& name) {
+  for (const FlagList* l : {&list, &kGlobal}) {
+    for (const Flag& f : *l) {
+      if (f.name == name) return &f;
+    }
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 const std::vector<Command>& commands() {
@@ -77,14 +87,30 @@ std::optional<std::string> unknown_flag(const std::string& command,
 
 std::optional<std::string> unknown_flag(const FlagList& allowed,
                                         const Args& args) {
-  const auto declared = [](const FlagList& list, const std::string& name) {
-    for (const Flag& f : list) {
-      if (f.name == name) return true;
-    }
-    return false;
-  };
   for (const std::string& name : args.given()) {
-    if (!declared(allowed, name) && !declared(kGlobal, name)) return name;
+    if (!declared(allowed, name)) return name;
+  }
+  return std::nullopt;
+}
+
+std::optional<std::string> misused_flag(const std::string& command,
+                                        const Args& args) {
+  const FlagList* allowed = allowed_flags(command);
+  if (allowed == nullptr) return std::nullopt;
+  return misused_flag(*allowed, args);
+}
+
+std::optional<std::string> misused_flag(const FlagList& allowed,
+                                        const Args& args) {
+  for (const std::string& name : args.given()) {
+    const Flag* f = declared(allowed, name);
+    if (f == nullptr) continue;
+    if (f->hint.empty() && args.option(name)) {
+      return "option --" + name + " takes no value";
+    }
+    if (!f->hint.empty() && args.has_flag(name)) {
+      return "option --" + name + " needs a value: --" + name + "=" + f->hint;
+    }
   }
   return std::nullopt;
 }

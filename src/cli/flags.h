@@ -49,6 +49,15 @@ std::optional<std::string> unknown_flag(const std::string& command,
 std::optional<std::string> unknown_flag(const FlagList& allowed,
                                         const Args& args);
 
+// The first (alphabetically) declared option in `args` given in the wrong
+// form, as a message: an option with a value hint needs --name=VALUE, and
+// a switch takes no value. nullopt when every form is right or the command
+// is unknown; undeclared options are unknown_flag's to report.
+std::optional<std::string> misused_flag(const std::string& command,
+                                        const Args& args);
+std::optional<std::string> misused_flag(const FlagList& allowed,
+                                        const Args& args);
+
 // "<program> [operand] [--name=HINT] ...", wrapped before 80 columns with
 // continuation lines aligned under the first option. `program` is padded
 // to `pad` columns so a block of entries lines up.

@@ -9,10 +9,8 @@
 // every alternative and why the winner won. Use --verbose for component
 // logs (or set SPECTRA_LOG=info|debug).
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <memory>
 
 #include "cli/args.h"
@@ -110,19 +108,6 @@ scenarios:
   return 0;
 }
 
-// Worker count for batch commands: --jobs, else SPECTRA_JOBS, else 1.
-// 0 means one worker per hardware thread.
-std::size_t jobs_arg(const Args& args) {
-  long requested = args.get_int("jobs", -1);
-  if (requested < 0) {
-    if (const char* env = std::getenv("SPECTRA_JOBS")) {
-      requested = std::atol(env);
-    }
-  }
-  if (requested < 0) return 1;
-  return resolve_jobs(requested);
-}
-
 // --health / --failover knobs for the run commands. Returns an empty
 // function when both keep their defaults, so experiments stay eligible for
 // the process-wide trained-world cache (overrides force a private train).
@@ -173,92 +158,32 @@ CliObs obs_args(const Args& args) {
   return out;
 }
 
-// Generic scenario table: measure every alternative over N trials, then let
-// Spectra choose. Trials fan out across the batch runner, and each trial
-// fans its per-alternative runs out in turn; per-run observability shards
-// merge in run order, so the table and any trace are identical for any
-// --jobs.
-template <typename Experiment, typename MakeExperiment>
+// Generic scenario table: every alternative measured over N trials, then
+// Spectra's choice (run_trials). The table and any trace are identical
+// for any --jobs.
+template <typename Experiment, typename Make>
 void run_table(const std::string& title, std::size_t trials,
                std::uint64_t seed, BatchRunner& batch,
-               obs::Observability* session, MakeExperiment make) {
+               obs::Observability* session, Make make) {
+  const auto results = run_trials(batch, session, trials, seed, make);
   const auto alternatives = Experiment::alternatives();
-  struct Cell {
-    util::OnlineStats time, energy;
-    bool infeasible = false;
-  };
-  std::map<std::string, Cell> cells;
-  util::OnlineStats s_time, s_energy;
-  std::map<std::string, int> chosen;
-
-  struct TrialResult {
-    std::vector<MeasuredRun> runs;
-    MeasuredRun spectra;
-  };
-  const auto trial_results = batch.map_runs(
-      session, trials, [&](std::size_t t, obs::Observability* trial_obs) {
-        const Experiment exp =
-            make(seed + static_cast<std::uint64_t>(t) * 17, trial_obs);
-        TrialResult r;
-        r.runs = batch.map_runs(
-            trial_obs, alternatives.size(),
-            [&](std::size_t a, obs::Observability* run_obs) {
-              return exp.measure(alternatives[a], run_obs);
-            });
-        r.spectra = exp.run_spectra(trial_obs);
-        return r;
-      });
-
-  for (const auto& trial : trial_results) {
-    for (std::size_t a = 0; a < alternatives.size(); ++a) {
-      const auto& run = trial.runs[a];
-      auto& cell = cells[Experiment::label(alternatives[a])];
-      if (run.feasible) {
-        cell.time.add(run.time);
-        cell.energy.add(run.energy);
-      } else {
-        cell.infeasible = true;
-      }
-    }
-    s_time.add(trial.spectra.time);
-    s_energy.add(trial.spectra.energy);
-    ++chosen[Experiment::label(trial.spectra.choice.alternative)];
-  }
-
-  std::string s_label;
-  int best = 0;
-  for (const auto& [label, count] : chosen) {
-    if (count > best) {
-      s_label = label;
-      best = count;
-    }
-  }
+  const std::string chosen = most_chosen(results, &Experiment::label);
+  const RunMetric time = [](const MeasuredRun& r) { return r.time; };
+  const RunMetric energy = [](const MeasuredRun& r) { return r.energy; };
 
   util::Table table(title);
   table.set_header({"alternative", "time (s)", "energy (J)", ""});
-  for (const auto& alt : alternatives) {
-    const std::string label = Experiment::label(alt);
-    const auto& cell = cells[label];
-    if (cell.infeasible || cell.time.count() == 0) {
-      table.add_row({label, "unavailable", "-",
-                     label == s_label ? "<== Spectra" : ""});
-    } else {
-      table.add_row(
-          {label,
-           util::Table::num_ci(cell.time.mean(),
-                               cell.time.confidence_halfwidth(0.90), 2),
-           util::Table::num_ci(cell.energy.mean(),
-                               cell.energy.confidence_halfwidth(0.90), 2),
-           label == s_label ? "<== Spectra" : ""});
-    }
+  for (std::size_t a = 0; a < alternatives.size(); ++a) {
+    const std::string label = Experiment::label(alternatives[a]);
+    const Aggregate t = aggregate(results, a, time);
+    table.add_row({label, t.cell(),
+                   t.available() ? aggregate(results, a, energy).cell() : "-",
+                   label == chosen ? "<== Spectra" : ""});
   }
   table.add_separator();
   table.add_row({"Spectra (w/ overhead)",
-                 util::Table::num_ci(s_time.mean(),
-                                     s_time.confidence_halfwidth(0.90), 2),
-                 util::Table::num_ci(s_energy.mean(),
-                                     s_energy.confidence_halfwidth(0.90), 2),
-                 ""});
+                 aggregate_spectra(results, time).cell(),
+                 aggregate_spectra(results, energy).cell(), ""});
   std::cout << table.to_string();
 }
 
@@ -315,62 +240,36 @@ int cmd_pangloss(const Args& args) {
   const auto sc = parse_pangloss_scenario(args.get("scenario", "baseline"));
   const int words = static_cast<int>(args.get_count("words", 10, kMaxWords));
   const std::size_t trials = args.get_count("trials", 1, kMaxTrials);
-  const std::uint64_t seed =
+  const std::uint64_t first_seed =
       static_cast<std::uint64_t>(args.get_int("seed", 1000));
 
   CliObs obs = obs_args(args);
   BatchRunner batch(jobs_arg(args));
-  const auto alts = PanglossExperiment::alternatives();
-  struct TrialResult {
-    std::vector<double> utilities;
-    MeasuredRun spectra;
-  };
-  const auto trial_results = batch.map_runs(
-      obs.ptr(), trials, [&](std::size_t t, obs::Observability* trial_obs) {
+  const auto results = run_trials(
+      batch, obs.ptr(), trials, first_seed,
+      [&](std::uint64_t seed, obs::Observability* trial_obs) {
         PanglossExperiment::Config cfg;
         cfg.scenario = sc;
-        cfg.seed = seed + static_cast<std::uint64_t>(t) * 17;
+        cfg.seed = seed;
         cfg.test_words = words;
         cfg.fault_plan = fault_plan_arg(args);
         cfg.spectra_overrides = resilience_overrides(args);
         cfg.obs = trial_obs;
-        const PanglossExperiment exp(cfg);
-        TrialResult r;
-        r.utilities = batch.map_runs(
-            trial_obs, alts.size(),
-            [&](std::size_t a, obs::Observability* run_obs) {
-              return PanglossExperiment::achieved_utility(
-                  exp.measure(alts[a], run_obs), alts[a]);
-            });
-        r.spectra = exp.run_spectra(trial_obs);
-        return r;
+        return PanglossExperiment(cfg);
       });
-
   util::OnlineStats percentile, relative;
-  std::map<std::string, int> chosen;
-  for (const auto& trial : trial_results) {
-    double best = 0.0;
-    for (const double u : trial.utilities) best = std::max(best, u);
-    const double su = PanglossExperiment::achieved_utility(
-        trial.spectra, trial.spectra.choice.alternative);
-    percentile.add(util::percentile_rank(trial.utilities, su));
-    relative.add(best > 0.0 ? su / best : 0.0);
-    ++chosen[PanglossExperiment::label(trial.spectra.choice.alternative)];
-  }
-  std::string s_label;
-  int best_count = 0;
-  for (const auto& [label, count] : chosen) {
-    if (count > best_count) {
-      s_label = label;
-      best_count = count;
-    }
+  for (const Trial& trial : results) {
+    const auto score = PanglossExperiment::score(trial);
+    percentile.add(score.percentile);
+    relative.add(score.relative_utility);
   }
   util::Table table("Pangloss-Lite (" + std::to_string(words) +
                     " words) — scenario: " + name(sc));
   table.set_header({"metric", "value"});
   table.add_row({"alternatives considered",
                  std::to_string(PanglossExperiment::alternatives().size())});
-  table.add_row({"Spectra chose", s_label});
+  table.add_row({"Spectra chose",
+                 most_chosen(results, &PanglossExperiment::label)});
   table.add_row({"accuracy percentile (Fig 8)",
                  util::Table::num(percentile.mean(), 1)});
   table.add_row({"relative utility vs oracle (Fig 9)",
@@ -383,8 +282,7 @@ int cmd_pangloss(const Args& args) {
 int cmd_overhead(const Args& args) {
   CliObs obs = obs_args(args);
   OverheadExperiment::Config cfg;
-  // Overhead servers take machine ids 1..N; id 9 is the file server.
-  cfg.servers = args.get_count("servers", 1, 8, 0);
+  cfg.servers = args.get_count("servers", 1, kMaxOverheadServers, 0);
   cfg.measured_runs = static_cast<int>(args.get_count("runs", 200, 1'000'000));
   cfg.obs = obs.ptr();
   const auto r = OverheadExperiment(cfg).run();
@@ -415,53 +313,42 @@ int cmd_explain(const Args& args) {
   const int words = static_cast<int>(args.get_count("words", 10, kMaxWords));
   CliObs obs = obs_args(args);
 
-  std::unique_ptr<World> world;
+  // One Spectra run from the trained state, decision trace captured.
+  const auto traced = [&](auto cfg) {
+    cfg.seed = seed;
+    cfg.obs = obs.ptr();
+    cfg.spectra_overrides = [](core::SpectraClientConfig& c) {
+      c.trace_decisions = true;
+    };
+    return cfg;
+  };
+  const auto print = [](const auto& exp) {
+    auto world = exp.trained_world();
+    exp.run_spectra_on(*world);
+    const auto* trace = world->spectra().last_decision_trace();
+    SPECTRA_REQUIRE(trace != nullptr, "no decision trace captured");
+    std::cout << trace->to_string();
+  };
   if (app == "speech") {
     SpeechExperiment::Config cfg;
     cfg.scenario = parse_speech_scenario(args.get("scenario", "baseline"));
-    cfg.seed = seed;
-    cfg.obs = obs.ptr();
-    cfg.spectra_overrides = [](core::SpectraClientConfig& c) {
-      c.trace_decisions = true;
-    };
-    world = SpeechExperiment(cfg).trained_world();
-    world->spectra().begin_fidelity_op(
-        apps::JanusApp::kOperation,
-        {{"utt_len", args.get_double("utterance", 2.0)}});
-    world->janus().execute(world->spectra(),
-                           args.get_double("utterance", 2.0));
+    cfg.test_utterance_s = args.get_double("utterance", 2.0);
+    print(SpeechExperiment(traced(cfg)));
   } else if (app == "latex") {
     LatexExperiment::Config cfg;
     cfg.scenario = parse_latex_scenario(args.get("scenario", "baseline"));
-    cfg.seed = seed;
-    cfg.obs = obs.ptr();
-    cfg.spectra_overrides = [](core::SpectraClientConfig& c) {
-      c.trace_decisions = true;
-    };
-    world = LatexExperiment(cfg).trained_world();
-    const std::string doc = args.get("doc", "small");
-    world->spectra().begin_fidelity_op(apps::LatexApp::kOperation, {}, doc);
-    world->latex().execute(world->spectra(), doc);
+    cfg.doc = args.get("doc", "small");
+    SPECTRA_REQUIRE(cfg.doc == "small" || cfg.doc == "large",
+                    "--doc must be small or large");
+    print(LatexExperiment(traced(cfg)));
   } else if (app == "pangloss") {
     PanglossExperiment::Config cfg;
     cfg.scenario = parse_pangloss_scenario(args.get("scenario", "baseline"));
-    cfg.seed = seed;
-    cfg.obs = obs.ptr();
-    cfg.spectra_overrides = [](core::SpectraClientConfig& c) {
-      c.trace_decisions = true;
-    };
-    world = PanglossExperiment(cfg).trained_world();
-    world->spectra().begin_fidelity_op(
-        apps::PanglossApp::kOperation,
-        {{"words", static_cast<double>(words)}});
-    world->pangloss().execute(world->spectra(), words);
+    cfg.test_words = words;
+    print(PanglossExperiment(traced(cfg)));
   } else {
     SPECTRA_REQUIRE(false, "unknown application: " + app);
   }
-  world->spectra().end_fidelity_op();
-  const auto* trace = world->spectra().last_decision_trace();
-  SPECTRA_REQUIRE(trace != nullptr, "no decision trace captured");
-  std::cout << trace->to_string();
   obs.finish();
   return 0;
 }
@@ -795,6 +682,11 @@ int run(int argc, const char* const* argv) {
   // looked exactly like the requested one); reject it up front.
   if (const auto bad = unknown_flag(cmd, args)) {
     std::cerr << "unknown option for '" << cmd << "': --" << *bad << "\n\n";
+    usage();
+    return 2;
+  }
+  if (const auto bad = misused_flag(cmd, args)) {
+    std::cerr << cmd << ": " << *bad << "\n\n";
     usage();
     return 2;
   }

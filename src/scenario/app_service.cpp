@@ -1,5 +1,6 @@
 #include "scenario/app_service.h"
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <sstream>
@@ -22,18 +23,7 @@ namespace {
 
 enum class ServiceApp { kNullop, kSpeech, kLatex, kPangloss };
 
-constexpr const char* kNullOpName = "null.op";
-
 // ---- nullop world (the Fig-10 overhead testbed as a service) -------------
-
-void install_null_service(core::SpectraServer& server) {
-  server.register_service(kNullOpName, [](const rpc::Request&) {
-    rpc::Response r;
-    r.ok = true;
-    r.payload = 64.0;
-    return r;
-  });
-}
 
 std::vector<solver::Alternative> nullop_alternatives(const World& world) {
   std::vector<solver::Alternative> alts;
@@ -53,33 +43,10 @@ std::vector<solver::Alternative> nullop_alternatives(const World& world) {
   return alts;
 }
 
-// Out-of-constructor setup for the kOverhead testbed: install the null
-// RPC service everywhere and register the operation. Needed both when
-// building a world and when cloning one — World::clone copies neither
-// RPC handlers nor operation registrations into the fresh world.
-void prepare_nullop_world(World& world) {
-  for (MachineId id : world.server_ids()) {
-    install_null_service(world.server(id));
-  }
-  install_null_service(world.spectra().local_server());
-
-  core::OperationDesc desc;
-  desc.name = kNullOpName;
-  desc.plans = {{"local", false}, {"remote", true}};
-  desc.fidelities = {{"level", {0.0, 1.0}}};
-  desc.latency_fn = solver::inverse_latency();
-  desc.fidelity_fn = [](const std::map<std::string, double>&) { return 1.0; };
-  world.spectra().register_fidelity(std::move(desc));
-}
-
 std::unique_ptr<World> build_nullop_world(std::size_t servers,
                                           std::uint64_t seed) {
-  WorldConfig wc;
-  wc.testbed = Testbed::kOverhead;
-  wc.seed = seed;
-  wc.overhead_servers = servers;
-  auto world = std::make_unique<World>(wc);
-  prepare_nullop_world(*world);
+  auto world = overhead_world(servers, seed);
+  prepare_null_op(*world);
   world->settle(6.0);
 
   // Round-robin forced training over the whole alternative space so the
@@ -88,11 +55,8 @@ std::unique_ptr<World> build_nullop_world(std::size_t servers,
   const int runs = static_cast<int>(alts.size()) * 3;
   for (int i = 0; i < runs; ++i) {
     world->spectra().begin_fidelity_op_forced(
-        kNullOpName, {}, "", alts[static_cast<std::size_t>(i) % alts.size()]);
-    rpc::Request req;
-    req.op_type = kNullOpName;
-    req.payload = 64.0;
-    world->spectra().do_local_op(kNullOpName, req);
+        kNullOp, {}, "", alts[static_cast<std::size_t>(i) % alts.size()]);
+    world->spectra().do_local_op(kNullOp, null_request());
     world->spectra().end_fidelity_op();
   }
   world->settle(2.0);
@@ -108,10 +72,14 @@ std::size_t nullop_servers(const std::string& scenario) {
     for (char c : scenario.substr(0, pos)) {
       SPECTRA_REQUIRE(c >= '0' && c <= '9',
                       "unknown nullop scenario: " + scenario);
-      n = n * 10 + static_cast<std::size_t>(c - '0');
+      n = std::min(n * 10 + static_cast<std::size_t>(c - '0'),
+                   kMaxOverheadServers + 1);
     }
-    SPECTRA_REQUIRE(n >= 1 && n <= 64,
-                    "nullop scenario wants 1-64 servers: " + scenario);
+    // Overhead-testbed servers take machine ids 1..N; 9 is the file server.
+    SPECTRA_REQUIRE(n >= 1 && n <= kMaxOverheadServers,
+                    "nullop scenario wants 1-" +
+                        std::to_string(kMaxOverheadServers) +
+                        " servers: " + scenario);
     return n;
   }
   SPECTRA_REQUIRE(false, "unknown nullop scenario: " + scenario +
@@ -129,8 +97,7 @@ std::unique_ptr<World> nullop_session_world(const std::string& scenario,
   key << "nullop|" << servers << '|' << seed;
   const auto tmpl = TrainedWorldCache::instance().get(
       key.str(), [&] { return build_nullop_world(servers, seed); });
-  return tmpl->clone(nullptr,
-                     [](World& w) { prepare_nullop_world(w); });
+  return tmpl->clone(nullptr, [](World& w) { prepare_null_op(w); });
 }
 
 // ---- the session ---------------------------------------------------------
@@ -170,12 +137,12 @@ class WorldDecisionService : public core::DecisionService {
     core::OperationChoice choice;
     switch (app_) {
       case ServiceApp::kNullop: {
-        choice = spectra.begin_fidelity_op(kNullOpName, request.params);
+        choice = spectra.begin_fidelity_op(kNullOp, request.params);
         pending_ = [this] {
           rpc::Request req;
-          req.op_type = kNullOpName;
+          req.op_type = kNullOp;
           req.payload = 64.0;
-          world_->spectra().do_local_op(kNullOpName, req);
+          world_->spectra().do_local_op(kNullOp, req);
         };
         break;
       }
@@ -267,7 +234,7 @@ class WorldDecisionService : public core::DecisionService {
   const char* op_name() const {
     switch (app_) {
       case ServiceApp::kNullop:
-        return kNullOpName;
+        return kNullOp;
       case ServiceApp::kSpeech:
         return apps::JanusApp::kOperation;
       case ServiceApp::kLatex:

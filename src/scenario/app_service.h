@@ -9,8 +9,8 @@
 //
 // Supported apps:
 //   nullop    — the Fig-10 null operation on the kOverhead testbed
-//               (scenario "baseline" = 1 server, or "<N>srv"); the cheap
-//               default for load generation.
+//               (scenario "baseline" = 1 server, or "<N>srv" for N in
+//               1..8); the cheap default for load generation.
 //   speech    — Janus on the Itsy testbed (scenarios as `spectra speech`).
 //   latex     — Latex on the ThinkPad testbed.
 //   pangloss  — Pangloss-Lite on the ThinkPad testbed.

@@ -3,6 +3,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "util/table.h"
+
 namespace spectra::scenario {
 
 bool default_reuse_trained_world() {
@@ -12,9 +14,45 @@ bool default_reuse_trained_world() {
          std::strcmp(env, "false") != 0;
 }
 
-std::size_t resolve_jobs(long requested) {
-  if (requested == 0) return exec::ThreadPool::hardware_concurrency();
-  return requested < 1 ? 1 : static_cast<std::size_t>(requested);
+std::string most_chosen(const std::vector<Trial>& trials,
+                        std::string (*label)(const solver::Alternative&)) {
+  std::map<std::string, int> count;
+  for (const Trial& t : trials) ++count[label(t.spectra.choice.alternative)];
+  std::string best;
+  int best_count = 0;
+  for (const auto& [name, n] : count) {
+    if (n > best_count) {
+      best = name;
+      best_count = n;
+    }
+  }
+  return best;
+}
+
+std::string Aggregate::cell(int precision) const {
+  if (!available()) return "unavailable";
+  return util::Table::num_ci(stats.mean(), stats.confidence_halfwidth(0.90),
+                             precision);
+}
+
+Aggregate aggregate(const std::vector<Trial>& trials, std::size_t a,
+                    RunMetric metric) {
+  Aggregate out;
+  for (const Trial& t : trials) {
+    if (t.runs[a].feasible) {
+      out.stats.add(metric(t.runs[a]));
+    } else {
+      out.any_infeasible = true;
+    }
+  }
+  return out;
+}
+
+Aggregate aggregate_spectra(const std::vector<Trial>& trials,
+                            RunMetric metric) {
+  Aggregate out;
+  for (const Trial& t : trials) out.stats.add(metric(t.spectra));
+  return out;
 }
 
 BatchRunner::BatchRunner(std::size_t jobs) : jobs_(jobs < 1 ? 1 : jobs) {

@@ -15,6 +15,9 @@
 // TrainedWorldCache memoizes fully trained Worlds per configuration
 // fingerprint so a batch trains once per (scenario, seed) and clones the
 // template for each measured alternative (World::clone).
+//
+// run_trials is the paper's method (§4) as a batch: N seeded trials, each
+// measuring every alternative and then letting Spectra choose once.
 #pragma once
 
 #include <cstddef>
@@ -29,6 +32,7 @@
 #include "exec/thread_pool.h"
 #include "obs/obs.h"
 #include "scenario/world.h"
+#include "util/stats.h"
 
 namespace spectra::scenario {
 
@@ -37,9 +41,13 @@ namespace spectra::scenario {
 // baseline).
 bool default_reuse_trained_world();
 
-// Turn a jobs request into a worker count: 0 means "one per hardware
-// thread"; anything else is clamped to at least 1.
-std::size_t resolve_jobs(long requested);
+struct MeasuredRun {
+  bool feasible = false;
+  util::Seconds time = 0.0;
+  util::Joules energy = 0.0;
+  core::OperationChoice choice;
+  monitor::OperationUsage usage;
+};
 
 class BatchRunner {
  public:
@@ -104,6 +112,64 @@ class BatchRunner {
   std::size_t jobs_;
   std::unique_ptr<exec::ThreadPool> pool_;
 };
+
+// One trial of the paper's method: every alternative measured from the
+// trial's trained state, then one run where Spectra chooses.
+struct Trial {
+  std::vector<MeasuredRun> runs;  // one per alternative, in order
+  MeasuredRun spectra;
+};
+
+// Seed of trial t: seed, seed + 17, seed + 34, ...
+inline std::uint64_t trial_seed(std::uint64_t seed, std::size_t t) {
+  return seed + 17 * static_cast<std::uint64_t>(t);
+}
+
+// Run `trials` trials of the experiment that make(trial_seed(seed, t),
+// trial_obs) builds, over Experiment::alternatives(). Trials and, within
+// each, the measured runs fan out through map_runs, so observability
+// shards merge in run order and the result is identical for any --jobs.
+template <typename Make>
+std::vector<Trial> run_trials(BatchRunner& batch, obs::Observability* session,
+                              std::size_t trials, std::uint64_t seed,
+                              Make&& make) {
+  using Experiment = decltype(make(seed, session));
+  const auto alternatives = Experiment::alternatives();
+  return batch.map_runs(
+      session, trials, [&](std::size_t t, obs::Observability* trial_obs) {
+        const Experiment exp = make(trial_seed(seed, t), trial_obs);
+        Trial out;
+        out.runs = batch.map_runs(
+            trial_obs, alternatives.size(),
+            [&](std::size_t a, obs::Observability* run_obs) {
+              return exp.measure(alternatives[a], run_obs);
+            });
+        out.spectra = exp.run_spectra(trial_obs);
+        return out;
+      });
+}
+
+// The label of the alternative Spectra chose in the most trials; a tie
+// goes to the smallest label.
+std::string most_chosen(const std::vector<Trial>& trials,
+                        std::string (*label)(const solver::Alternative&));
+
+// One metric over trials, as a table cell: mean ± 90% confidence interval.
+struct Aggregate {
+  util::OnlineStats stats;
+  bool any_infeasible = false;
+
+  bool available() const { return !any_infeasible && stats.count() > 0; }
+  // "unavailable" when the alternative was infeasible in any trial.
+  std::string cell(int precision = 2) const;
+};
+
+using RunMetric = double (*)(const MeasuredRun&);
+// `metric` of alternative `a` across trials, and of the Spectra runs.
+Aggregate aggregate(const std::vector<Trial>& trials, std::size_t a,
+                    RunMetric metric);
+Aggregate aggregate_spectra(const std::vector<Trial>& trials,
+                            RunMetric metric);
 
 // Process-wide cache of trained Worlds, keyed by an experiment-provided
 // fingerprint (application, scenario, seed, training shape). The first

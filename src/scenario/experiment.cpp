@@ -1,10 +1,12 @@
 #include "scenario/experiment.h"
 
+#include <algorithm>
 #include <chrono>
 #include <set>
 #include <sstream>
 
 #include "util/assert.h"
+#include "util/stats.h"
 
 namespace spectra::scenario {
 
@@ -68,20 +70,6 @@ class PhaseTimer {
   util::Seconds virt0_;
 };
 
-// Shared template acquisition: globally cacheable configurations (no
-// observability, no overrides, no fault plan) go through the process-wide
-// TrainedWorldCache so several experiment instances with the same training
-// shape — e.g. one per test sentence — share one trained world; everything
-// else trains at most once per experiment instance.
-std::shared_ptr<const World> acquire_template(
-    bool cacheable, const std::string& key, std::once_flag& once,
-    std::shared_ptr<const World>& slot,
-    const std::function<std::unique_ptr<World>()>& build) {
-  if (cacheable) return TrainedWorldCache::instance().get(key, build);
-  std::call_once(once, [&] { slot = build(); });
-  return slot;
-}
-
 // Clone a trained template for one measurement run, recording what the
 // reuse path actually costs as phase.clone.wall_ms. Wall-only on purpose:
 // a clone advances no virtual time, and wall-suffixed metrics stay out of
@@ -99,7 +87,103 @@ std::unique_ptr<World> clone_template(const World& tmpl,
 
 }  // namespace
 
+// --------------------------------------------------------------- lifecycle
+
+template <typename Config>
+std::unique_ptr<World> AppExperiment<Config>::trained_world(
+    obs::Observability* obs) const {
+  WorldConfig wc;
+  wc.testbed = testbed_;
+  wc.seed = config_.seed;
+  wc.spectra.obs = obs;
+  if (config_.spectra_overrides) config_.spectra_overrides(wc.spectra);
+  auto world = std::make_unique<World>(wc);
+  {
+    PhaseTimer phase(obs, world->engine(), "setup");
+    world->warm_all_caches();
+    world->probe_fetch_rates();
+    world->settle(6.0);
+  }
+  {
+    PhaseTimer phase(obs, world->engine(), "train");
+    train(*world);
+  }
+  {
+    PhaseTimer phase(obs, world->engine(), "settle");
+    apply(*world, config_.scenario);
+    world->settle(config_.settle_time);
+    if (config_.fault_plan) world->arm_faults(*config_.fault_plan);
+  }
+  return world;
+}
+
+// Globally cacheable configurations (no observability, no overrides, no
+// fault plan) go through the process-wide TrainedWorldCache, so several
+// experiment instances with the same training shape — e.g. one per test
+// sentence — share one trained world; everything else trains at most once
+// per experiment instance.
+template <typename Config>
+std::shared_ptr<const World> AppExperiment<Config>::template_world() const {
+  const auto build = [this] { return trained_world(config_.obs); };
+  if (config_.obs != nullptr || config_.spectra_overrides ||
+      config_.fault_plan) {
+    std::call_once(template_once_, [&] { template_ = build(); });
+    return template_;
+  }
+  std::ostringstream key;
+  key << app_ << '|' << static_cast<int>(config_.scenario) << '|'
+      << config_.seed << '|' << config_.training_runs << '|'
+      << config_.settle_time;
+  return TrainedWorldCache::instance().get(key.str(), build);
+}
+
+template <typename Config>
+std::unique_ptr<World> AppExperiment<Config>::measurement_world(
+    obs::Observability* run_obs) const {
+  if (config_.reuse_trained_world) {
+    return clone_template(*template_world(), run_obs);
+  }
+  return trained_world(run_obs);
+}
+
+template <typename Config>
+MeasuredRun AppExperiment<Config>::measure(const solver::Alternative& alt,
+                                           obs::Observability* run_obs) const {
+  auto world = measurement_world(run_obs);
+  try {
+    MeasuredRun run = to_run(core::OperationChoice{}, run_forced(*world, alt));
+    run.choice.alternative = recorded(alt);
+    return run;
+  } catch (const util::ContractError&) {
+    return MeasuredRun{};  // infeasible under this scenario
+  }
+}
+
+template <typename Config>
+MeasuredRun AppExperiment<Config>::run_spectra(
+    obs::Observability* run_obs) const {
+  auto world = measurement_world(run_obs);
+  PhaseTimer phase(run_obs, world->engine(), "measure");
+  return run_spectra_on(*world);
+}
+
+template <typename Config>
+MeasuredRun AppExperiment<Config>::run_spectra_on(World& world) const {
+  // Capture the choice before end_fidelity_op clears it.
+  const auto choice = begin(world);
+  SPECTRA_REQUIRE(choice.ok, "Spectra made no choice");
+  execute(world);
+  return to_run(choice, world.spectra().end_fidelity_op());
+}
+
+template class AppExperiment<SpeechConfig>;
+template class AppExperiment<LatexConfig>;
+template class AppExperiment<PanglossConfig>;
+
 // ------------------------------------------------------------------ speech
+
+SpeechExperiment::SpeechExperiment(Config config)
+    : AppExperiment(std::move(config), "speech", Testbed::kItsy) {}
 
 std::vector<solver::Alternative> SpeechExperiment::alternatives() {
   std::vector<solver::Alternative> out;
@@ -119,89 +203,35 @@ std::string SpeechExperiment::label(const solver::Alternative& alt) {
   return s;
 }
 
-std::unique_ptr<World> SpeechExperiment::trained_world(
-    obs::Observability* obs) const {
-  WorldConfig wc;
-  wc.testbed = Testbed::kItsy;
-  wc.seed = config_.seed;
-  wc.spectra.obs = obs;
-  if (config_.spectra_overrides) config_.spectra_overrides(wc.spectra);
-  auto world = std::make_unique<World>(wc);
-  {
-    PhaseTimer phase(obs, world->engine(), "setup");
-    world->warm_all_caches();
-    world->probe_fetch_rates();
-    world->settle(6.0);
-  }
-
-  {
-    PhaseTimer phase(obs, world->engine(), "train");
-    util::Rng rng(config_.seed * 77 + 13);
-    const auto alts = alternatives();
-    for (int i = 0; i < config_.training_runs; ++i) {
-      const double len = rng.uniform(1.0, 3.5);
-      world->janus().run_forced(
-          world->spectra(), len,
-          alts[static_cast<std::size_t>(i) % alts.size()]);
-    }
-  }
-  {
-    PhaseTimer phase(obs, world->engine(), "settle");
-    apply(*world, config_.scenario);
-    world->settle(config_.settle_time);
-    if (config_.fault_plan) world->arm_faults(*config_.fault_plan);
-  }
-  return world;
-}
-
-std::shared_ptr<const World> SpeechExperiment::template_world() const {
-  const bool cacheable = config_.obs == nullptr &&
-                         !config_.spectra_overrides && !config_.fault_plan;
-  std::ostringstream key;
-  key << "speech|" << static_cast<int>(config_.scenario) << '|'
-      << config_.seed << '|' << config_.training_runs << '|'
-      << config_.settle_time;
-  return acquire_template(cacheable, key.str(), template_once_, template_,
-                          [this] { return trained_world(config_.obs); });
-}
-
-std::unique_ptr<World> SpeechExperiment::measurement_world(
-    obs::Observability* run_obs) const {
-  if (config_.reuse_trained_world) {
-    return clone_template(*template_world(), run_obs);
-  }
-  return trained_world(run_obs);
-}
-
-MeasuredRun SpeechExperiment::measure(const solver::Alternative& alt,
-                                      obs::Observability* run_obs) const {
-  auto world = measurement_world(run_obs);
-  try {
-    const auto usage = world->janus().run_forced(
-        world->spectra(), config_.test_utterance_s, alt);
-    MeasuredRun run = to_run(core::OperationChoice{}, usage);
-    run.choice.alternative = alt;
-    return run;
-  } catch (const util::ContractError&) {
-    return MeasuredRun{};  // infeasible under this scenario
+void SpeechExperiment::train(World& world) const {
+  util::Rng rng(config_.seed * 77 + 13);
+  const auto alts = alternatives();
+  for (int i = 0; i < config_.training_runs; ++i) {
+    const double len = rng.uniform(1.0, 3.5);
+    world.janus().run_forced(world.spectra(), len,
+                             alts[static_cast<std::size_t>(i) % alts.size()]);
   }
 }
 
-MeasuredRun SpeechExperiment::run_spectra(obs::Observability* run_obs) const {
-  auto world = measurement_world(run_obs);
-  PhaseTimer phase(run_obs, world->engine(), "measure");
-  // Capture the choice before end_fidelity_op clears it.
-  std::map<std::string, double> params{
-      {"utt_len", config_.test_utterance_s}};
-  const auto choice = world->spectra().begin_fidelity_op(
-      JanusApp::kOperation, params);
-  SPECTRA_REQUIRE(choice.ok, "Spectra made no choice");
-  world->janus().execute(world->spectra(), config_.test_utterance_s);
-  const auto usage = world->spectra().end_fidelity_op();
-  return to_run(choice, usage);
+monitor::OperationUsage SpeechExperiment::run_forced(
+    World& world, const solver::Alternative& alt) const {
+  return world.janus().run_forced(world.spectra(), config_.test_utterance_s,
+                                  alt);
+}
+
+core::OperationChoice SpeechExperiment::begin(World& world) const {
+  return world.spectra().begin_fidelity_op(
+      JanusApp::kOperation, {{"utt_len", config_.test_utterance_s}});
+}
+
+void SpeechExperiment::execute(World& world) const {
+  world.janus().execute(world.spectra(), config_.test_utterance_s);
 }
 
 // ------------------------------------------------------------------- latex
+
+LatexExperiment::LatexExperiment(Config config)
+    : AppExperiment(std::move(config), "latex", Testbed::kThinkpad) {}
 
 std::vector<solver::Alternative> LatexExperiment::alternatives() {
   return {LatexApp::alternative(LatexApp::kPlanLocal),
@@ -214,84 +244,34 @@ std::string LatexExperiment::label(const solver::Alternative& alt) {
   return alt.server == kServerA ? "serverA" : "serverB";
 }
 
-std::unique_ptr<World> LatexExperiment::trained_world(
-    obs::Observability* obs) const {
-  WorldConfig wc;
-  wc.testbed = Testbed::kThinkpad;
-  wc.seed = config_.seed;
-  wc.spectra.obs = obs;
-  if (config_.spectra_overrides) config_.spectra_overrides(wc.spectra);
-  auto world = std::make_unique<World>(wc);
-  {
-    PhaseTimer phase(obs, world->engine(), "setup");
-    world->warm_all_caches();
-    world->probe_fetch_rates();
-    world->settle(6.0);
-  }
-
-  {
-    PhaseTimer phase(obs, world->engine(), "train");
-    const auto alts = alternatives();
-    for (int i = 0; i < config_.training_runs; ++i) {
-      const std::string doc = (i % 2 == 0) ? "small" : "large";
-      world->latex().run_forced(world->spectra(), doc,
-                                alts[static_cast<std::size_t>(i / 2) %
-                                     alts.size()]);
-    }
-  }
-  {
-    PhaseTimer phase(obs, world->engine(), "settle");
-    apply(*world, config_.scenario);
-    world->settle(config_.settle_time);
-    if (config_.fault_plan) world->arm_faults(*config_.fault_plan);
-  }
-  return world;
-}
-
-std::shared_ptr<const World> LatexExperiment::template_world() const {
-  const bool cacheable = config_.obs == nullptr &&
-                         !config_.spectra_overrides && !config_.fault_plan;
-  std::ostringstream key;
-  key << "latex|" << static_cast<int>(config_.scenario) << '|' << config_.seed
-      << '|' << config_.training_runs << '|' << config_.settle_time;
-  return acquire_template(cacheable, key.str(), template_once_, template_,
-                          [this] { return trained_world(config_.obs); });
-}
-
-std::unique_ptr<World> LatexExperiment::measurement_world(
-    obs::Observability* run_obs) const {
-  if (config_.reuse_trained_world) {
-    return clone_template(*template_world(), run_obs);
-  }
-  return trained_world(run_obs);
-}
-
-MeasuredRun LatexExperiment::measure(const solver::Alternative& alt,
-                                     obs::Observability* run_obs) const {
-  auto world = measurement_world(run_obs);
-  try {
-    const auto usage =
-        world->latex().run_forced(world->spectra(), config_.doc, alt);
-    MeasuredRun run = to_run(core::OperationChoice{}, usage);
-    run.choice.alternative = alt;
-    return run;
-  } catch (const util::ContractError&) {
-    return MeasuredRun{};
+void LatexExperiment::train(World& world) const {
+  const auto alts = alternatives();
+  for (int i = 0; i < config_.training_runs; ++i) {
+    const std::string doc = (i % 2 == 0) ? "small" : "large";
+    world.latex().run_forced(
+        world.spectra(), doc,
+        alts[static_cast<std::size_t>(i / 2) % alts.size()]);
   }
 }
 
-MeasuredRun LatexExperiment::run_spectra(obs::Observability* run_obs) const {
-  auto world = measurement_world(run_obs);
-  PhaseTimer phase(run_obs, world->engine(), "measure");
-  const auto choice = world->spectra().begin_fidelity_op(
-      LatexApp::kOperation, {}, config_.doc);
-  SPECTRA_REQUIRE(choice.ok, "Spectra made no choice");
-  world->latex().execute(world->spectra(), config_.doc);
-  const auto usage = world->spectra().end_fidelity_op();
-  return to_run(choice, usage);
+monitor::OperationUsage LatexExperiment::run_forced(
+    World& world, const solver::Alternative& alt) const {
+  return world.latex().run_forced(world.spectra(), config_.doc, alt);
+}
+
+core::OperationChoice LatexExperiment::begin(World& world) const {
+  return world.spectra().begin_fidelity_op(LatexApp::kOperation, {},
+                                           config_.doc);
+}
+
+void LatexExperiment::execute(World& world) const {
+  world.latex().execute(world.spectra(), config_.doc);
 }
 
 // ---------------------------------------------------------------- pangloss
+
+PanglossExperiment::PanglossExperiment(Config config)
+    : AppExperiment(std::move(config), "pangloss", Testbed::kThinkpad) {}
 
 std::vector<solver::Alternative> PanglossExperiment::alternatives() {
   std::vector<solver::Alternative> out;
@@ -329,89 +309,38 @@ std::string PanglossExperiment::label(const solver::Alternative& alt) {
   return os.str();
 }
 
-std::unique_ptr<World> PanglossExperiment::trained_world(
-    obs::Observability* obs) const {
-  WorldConfig wc;
-  wc.testbed = Testbed::kThinkpad;
-  wc.seed = config_.seed;
-  wc.spectra.obs = obs;
-  if (config_.spectra_overrides) config_.spectra_overrides(wc.spectra);
-  auto world = std::make_unique<World>(wc);
-  {
-    PhaseTimer phase(obs, world->engine(), "setup");
-    world->warm_all_caches();
-    world->probe_fetch_rates();
-    world->settle(6.0);
-  }
-
-  {
-    PhaseTimer phase(obs, world->engine(), "train");
-    util::Rng rng(config_.seed * 91 + 7);
-    for (int i = 0; i < config_.training_runs; ++i) {
-      const int words = static_cast<int>(rng.uniform_int(4, 44));
-      const int fid = 1 + static_cast<int>(rng.uniform_int(0, 6));
-      const int mask = static_cast<int>(rng.uniform_int(0, 15));
-      const MachineId server = (i % 2 == 0) ? kServerA : kServerB;
-      const auto alt = PanglossApp::alternative(mask, (fid & 1) != 0,
-                                                (fid & 2) != 0,
-                                                (fid & 4) != 0, server);
-      world->pangloss().run_forced(world->spectra(), words, alt);
-    }
-  }
-  {
-    PhaseTimer phase(obs, world->engine(), "settle");
-    apply(*world, config_.scenario);
-    world->settle(config_.settle_time);
-    if (config_.fault_plan) world->arm_faults(*config_.fault_plan);
-  }
-  return world;
-}
-
-std::shared_ptr<const World> PanglossExperiment::template_world() const {
-  const bool cacheable = config_.obs == nullptr &&
-                         !config_.spectra_overrides && !config_.fault_plan;
-  std::ostringstream key;
-  key << "pangloss|" << static_cast<int>(config_.scenario) << '|'
-      << config_.seed << '|' << config_.training_runs << '|'
-      << config_.settle_time;
-  return acquire_template(cacheable, key.str(), template_once_, template_,
-                          [this] { return trained_world(config_.obs); });
-}
-
-std::unique_ptr<World> PanglossExperiment::measurement_world(
-    obs::Observability* run_obs) const {
-  if (config_.reuse_trained_world) {
-    return clone_template(*template_world(), run_obs);
-  }
-  return trained_world(run_obs);
-}
-
-MeasuredRun PanglossExperiment::measure(const solver::Alternative& alt,
-                                        obs::Observability* run_obs) const {
-  auto world = measurement_world(run_obs);
-  try {
-    const auto usage =
-        world->pangloss().run_forced(world->spectra(), config_.test_words,
-                                     alt);
-    MeasuredRun run = to_run(core::OperationChoice{}, usage);
-    run.choice.alternative = PanglossApp::canonical(alt);
-    return run;
-  } catch (const util::ContractError&) {
-    return MeasuredRun{};
+void PanglossExperiment::train(World& world) const {
+  util::Rng rng(config_.seed * 91 + 7);
+  for (int i = 0; i < config_.training_runs; ++i) {
+    const int words = static_cast<int>(rng.uniform_int(4, 44));
+    const int fid = 1 + static_cast<int>(rng.uniform_int(0, 6));
+    const int mask = static_cast<int>(rng.uniform_int(0, 15));
+    const MachineId server = (i % 2 == 0) ? kServerA : kServerB;
+    const auto alt = PanglossApp::alternative(mask, (fid & 1) != 0,
+                                              (fid & 2) != 0, (fid & 4) != 0,
+                                              server);
+    world.pangloss().run_forced(world.spectra(), words, alt);
   }
 }
 
-MeasuredRun PanglossExperiment::run_spectra(obs::Observability* run_obs) const {
-  auto world = measurement_world(run_obs);
-  PhaseTimer phase(run_obs, world->engine(), "measure");
-  std::map<std::string, double> params{
-      {"words", static_cast<double>(config_.test_words)}};
-  const auto choice = world->spectra().begin_fidelity_op(
-      PanglossApp::kOperation, params);
-  SPECTRA_REQUIRE(choice.ok, "Spectra made no choice");
-  world->pangloss().execute(world->spectra(), config_.test_words);
-  const auto usage = world->spectra().end_fidelity_op();
-  return to_run(choice, usage);
+monitor::OperationUsage PanglossExperiment::run_forced(
+    World& world, const solver::Alternative& alt) const {
+  return world.pangloss().run_forced(world.spectra(), config_.test_words, alt);
+}
+
+core::OperationChoice PanglossExperiment::begin(World& world) const {
+  return world.spectra().begin_fidelity_op(
+      PanglossApp::kOperation,
+      {{"words", static_cast<double>(config_.test_words)}});
+}
+
+void PanglossExperiment::execute(World& world) const {
+  world.pangloss().execute(world.spectra(), config_.test_words);
+}
+
+solver::Alternative PanglossExperiment::recorded(
+    const solver::Alternative& alt) const {
+  return PanglossApp::canonical(alt);
 }
 
 double PanglossExperiment::achieved_utility(const MeasuredRun& run,
@@ -431,71 +360,95 @@ double PanglossExperiment::achieved_utility(const MeasuredRun& run,
   return latency(run.time) * fidelity;
 }
 
-// --------------------------------------------------------------- overhead
-
-namespace {
-
-constexpr const char* kNullOp = "null.op";
-
-void install_null_service(core::SpectraServer& server) {
-  server.register_service(kNullOp, [](const rpc::Request&) {
-    rpc::Response r;
-    r.ok = true;
-    r.payload = 64.0;
-    return r;
-  });
+PanglossExperiment::Score PanglossExperiment::score(const Trial& trial) {
+  const auto alts = alternatives();
+  std::vector<double> utilities;
+  utilities.reserve(alts.size());
+  double best = 0.0;
+  for (std::size_t a = 0; a < alts.size(); ++a) {
+    utilities.push_back(achieved_utility(trial.runs[a], alts[a]));
+    best = std::max(best, utilities.back());
+  }
+  const double spectra =
+      achieved_utility(trial.spectra, trial.spectra.choice.alternative);
+  Score s;
+  s.percentile = util::percentile_rank(utilities, spectra);
+  s.relative_utility = best > 0.0 ? spectra / best : 0.0;
+  return s;
 }
 
-double register_null_op(core::SpectraClient& client) {
+// --------------------------------------------------------------- overhead
+
+std::unique_ptr<World> overhead_world(std::size_t servers, std::uint64_t seed,
+                                      obs::Observability* obs) {
+  WorldConfig wc;
+  wc.testbed = Testbed::kOverhead;
+  wc.seed = seed;
+  wc.overhead_servers = servers;
+  wc.spectra.obs = obs;
+  return std::make_unique<World>(wc);
+}
+
+void install_null_service(World& world) {
+  const auto install = [](core::SpectraServer& server) {
+    server.register_service(kNullOp, [](const rpc::Request&) {
+      rpc::Response r;
+      r.ok = true;
+      r.payload = 64.0;
+      return r;
+    });
+  };
+  for (MachineId id : world.server_ids()) install(world.server(id));
+  install(world.spectra().local_server());
+}
+
+core::OperationDesc null_op_desc() {
   core::OperationDesc desc;
   desc.name = kNullOp;
   desc.plans = {{"local", false}, {"remote", true}};
   desc.fidelities = {{"level", {0.0, 1.0}}};
   desc.latency_fn = solver::inverse_latency();
   desc.fidelity_fn = [](const std::map<std::string, double>&) { return 1.0; };
-  const double t0 = wall_ms();
-  client.register_fidelity(std::move(desc));
-  return wall_ms() - t0;
+  return desc;
 }
 
-}  // namespace
+void prepare_null_op(World& world) {
+  install_null_service(world);
+  world.spectra().register_fidelity(null_op_desc());
+}
+
+rpc::Request null_request() {
+  rpc::Request req;
+  req.op_type = kNullOp;
+  req.payload = 64.0;
+  return req;
+}
 
 OverheadReport OverheadExperiment::run() const {
-  WorldConfig wc;
-  wc.testbed = Testbed::kOverhead;
-  wc.seed = config_.seed;
-  wc.overhead_servers = config_.servers;
-  wc.spectra.obs = config_.obs;
-  World world(wc);
-  for (MachineId id : world.server_ids()) {
-    install_null_service(world.server(id));
-  }
-  install_null_service(world.spectra().local_server());
+  const auto world_ptr = overhead_world(config_.servers, config_.seed,
+                                        config_.obs);
+  World& world = *world_ptr;
+  install_null_service(world);
 
   OverheadReport report;
   report.servers = config_.servers;
-  report.register_ms = register_null_op(world.spectra());
+  auto desc = null_op_desc();  // built outside the timed call
+  const double t0 = wall_ms();
+  world.spectra().register_fidelity(std::move(desc));
+  report.register_ms = wall_ms() - t0;
   world.settle(6.0);
 
   // Train so the measured begin_fidelity_op runs the full decision path.
-  auto one_run = [&](bool forced_local) {
-    if (forced_local) {
-      solver::Alternative local;
-      local.plan = 0;
-      local.fidelity["level"] = 1.0;
-      world.spectra().begin_fidelity_op_forced(kNullOp, {}, "", local);
-    } else {
-      world.spectra().begin_fidelity_op(kNullOp, {});
-    }
-    rpc::Request req;
-    req.op_type = kNullOp;
-    req.payload = 64.0;
-    // The null operation always executes locally regardless of the chosen
-    // plan; only the decision cost is being measured.
-    world.spectra().do_local_op(kNullOp, req);
+  // The null operation always executes locally regardless of the chosen
+  // plan; only the decision cost is being measured.
+  solver::Alternative local;
+  local.plan = 0;
+  local.fidelity["level"] = 1.0;
+  for (int i = 0; i < 16; ++i) {
+    world.spectra().begin_fidelity_op_forced(kNullOp, {}, "", local);
+    world.spectra().do_local_op(kNullOp, null_request());
     world.spectra().end_fidelity_op();
-  };
-  for (int i = 0; i < 16; ++i) one_run(/*forced_local=*/true);
+  }
 
   // Measured runs.
   double begin_sum = 0, cache_sum = 0, choose_sum = 0, other_sum = 0;
@@ -504,10 +457,7 @@ OverheadReport OverheadExperiment::run() const {
     const double t0 = wall_ms();
     const auto choice = world.spectra().begin_fidelity_op(kNullOp, {});
     const double t1 = wall_ms();
-    rpc::Request req;
-    req.op_type = kNullOp;
-    req.payload = 64.0;
-    world.spectra().do_local_op(kNullOp, req);
+    world.spectra().do_local_op(kNullOp, null_request());
     const double t2 = wall_ms();
     world.spectra().end_fidelity_op();
     const double t3 = wall_ms();
@@ -542,10 +492,7 @@ OverheadReport OverheadExperiment::run() const {
   const int full_runs = 32;
   for (int i = 0; i < full_runs; ++i) {
     const auto choice = world.spectra().begin_fidelity_op(kNullOp, {});
-    rpc::Request req;
-    req.op_type = kNullOp;
-    req.payload = 64.0;
-    world.spectra().do_local_op(kNullOp, req);
+    world.spectra().do_local_op(kNullOp, null_request());
     world.spectra().end_fidelity_op();
     full_sum += choice.wall_cache_prediction * 1000.0;
   }

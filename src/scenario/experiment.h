@@ -13,6 +13,7 @@
 // exercises the full begin_fidelity_op path, overhead included.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -29,48 +30,55 @@
 
 namespace spectra::scenario {
 
-struct MeasuredRun {
-  bool feasible = false;
-  util::Seconds time = 0.0;
-  util::Joules energy = 0.0;
-  core::OperationChoice choice;
-  monitor::OperationUsage usage;
+// Fields every app experiment's Config shares.
+struct ExperimentConfig {
+  std::uint64_t seed = 1;
+  util::Seconds settle_time = 12.0;
+  // Optional hook to adjust the Spectra client configuration of the
+  // worlds this experiment builds (e.g. enable decision tracing).
+  std::function<void(core::SpectraClientConfig&)> spectra_overrides;
+  // Optional fault plan, armed after training and settling so event
+  // times are offsets from the start of the measured run.
+  std::optional<fault::FaultPlan> fault_plan;
+  // Observability sink threaded into the world's Spectra client and the
+  // experiment's phase timers. Non-owning; null disables.
+  obs::Observability* obs = nullptr;
+  // Train/settle one template world, then deep-copy it (World::clone)
+  // for every measured run instead of retraining from scratch. Clones
+  // are bit-identical to fresh retrains; default from SPECTRA_REUSE.
+  bool reuse_trained_world = default_reuse_trained_world();
 };
 
-// ------------------------------------------------------------------ speech
+struct SpeechConfig : ExperimentConfig {
+  SpeechScenario scenario = SpeechScenario::kBaseline;
+  double test_utterance_s = 2.0;
+  // The paper trains on 15 phrases; we use 18 so deterministic
+  // round-robin training covers each of the 6 alternatives 3 times,
+  // enough to fit the per-bin utterance-length regressions.
+  int training_runs = 18;
+};
 
-class SpeechExperiment {
+struct LatexConfig : ExperimentConfig {
+  LatexScenario scenario = LatexScenario::kBaseline;
+  std::string doc = "small";
+  int training_runs = 20;  // "we first executed Latex 20 times"
+};
+
+struct PanglossConfig : ExperimentConfig {
+  PanglossScenario scenario = PanglossScenario::kBaseline;
+  int test_words = 10;
+  int training_runs = 129;  // "we first translated a set of 129 sentences"
+};
+
+// The lifecycle every app experiment shares: set up and train a world,
+// apply the scenario and settle, then measure from that state. Each app
+// supplies only its training loop, its forced call, and its chosen call.
+template <typename Config>
+class AppExperiment {
  public:
-  struct Config {
-    SpeechScenario scenario = SpeechScenario::kBaseline;
-    std::uint64_t seed = 1;
-    double test_utterance_s = 2.0;
-    // The paper trains on 15 phrases; we use 18 so deterministic
-    // round-robin training covers each of the 6 alternatives 3 times,
-    // enough to fit the per-bin utterance-length regressions.
-    int training_runs = 18;
-    util::Seconds settle_time = 12.0;
-    // Optional hook to adjust the Spectra client configuration of the
-    // worlds this experiment builds (e.g. enable decision tracing).
-    std::function<void(core::SpectraClientConfig&)> spectra_overrides;
-    // Optional fault plan, armed after training and settling so event
-    // times are offsets from the start of the measured run.
-    std::optional<fault::FaultPlan> fault_plan;
-    // Observability sink threaded into the world's Spectra client and the
-    // experiment's phase timers. Non-owning; null disables.
-    obs::Observability* obs = nullptr;
-    // Train/settle one template world, then deep-copy it (World::clone)
-    // for every measured run instead of retraining from scratch. Clones
-    // are bit-identical to fresh retrains; default from SPECTRA_REUSE.
-    bool reuse_trained_world = default_reuse_trained_world();
-  };
-
-  explicit SpeechExperiment(Config config) : config_(config) {}
-
-  // The six alternatives of Figure 3/4: {local, hybrid, remote} x
-  // {reduced, full}.
-  static std::vector<solver::Alternative> alternatives();
-  static std::string label(const solver::Alternative& alt);
+  AppExperiment(const AppExperiment&) = delete;
+  AppExperiment& operator=(const AppExperiment&) = delete;
+  virtual ~AppExperiment() = default;
 
   MeasuredRun measure(const solver::Alternative& alt) const {
     return measure(alt, config_.obs);
@@ -79,9 +87,13 @@ class SpeechExperiment {
   // Variants with an explicit observability sink for this one run: batch
   // runs hand every measured run a private shard (BatchRunner::map_runs)
   // and merge afterwards. May be called concurrently from pool workers.
+  // A forced run that is infeasible under the scenario comes back with
+  // feasible == false.
   MeasuredRun measure(const solver::Alternative& alt,
                       obs::Observability* run_obs) const;
   MeasuredRun run_spectra(obs::Observability* run_obs) const;
+  // Spectra chooses and runs the operation once on `world`.
+  MeasuredRun run_spectra_on(World& world) const;
 
   // Fresh trained world under this experiment's scenario (exposed for
   // integration tests and ablations).
@@ -97,120 +109,135 @@ class SpeechExperiment {
     return measurement_world(nullptr);
   }
 
+ protected:
+  // `app` names the template in the trained-world cache.
+  AppExperiment(Config config, const char* app, Testbed testbed)
+      : config_(std::move(config)), app_(app), testbed_(testbed) {}
+
+  virtual void train(World& world) const = 0;
+  // Throws util::ContractError when `alt` is infeasible.
+  virtual monitor::OperationUsage run_forced(
+      World& world, const solver::Alternative& alt) const = 0;
+  // begin_fidelity_op with the app's parameters, then the operation.
+  virtual core::OperationChoice begin(World& world) const = 0;
+  virtual void execute(World& world) const = 0;
+  // The alternative a forced run of `alt` reports.
+  virtual solver::Alternative recorded(const solver::Alternative& alt) const {
+    return alt;
+  }
+
+  Config config_;
+
  private:
   std::unique_ptr<World> measurement_world(obs::Observability* run_obs) const;
   std::shared_ptr<const World> template_world() const;
 
-  Config config_;
+  const char* app_;
+  Testbed testbed_;
   mutable std::once_flag template_once_;
   mutable std::shared_ptr<const World> template_;
 };
 
+extern template class AppExperiment<SpeechConfig>;
+extern template class AppExperiment<LatexConfig>;
+extern template class AppExperiment<PanglossConfig>;
+
+// ------------------------------------------------------------------ speech
+
+class SpeechExperiment : public AppExperiment<SpeechConfig> {
+ public:
+  using Config = SpeechConfig;
+  explicit SpeechExperiment(Config config);
+
+  // The six alternatives of Figure 3/4: {local, hybrid, remote} x
+  // {reduced, full}.
+  static std::vector<solver::Alternative> alternatives();
+  static std::string label(const solver::Alternative& alt);
+
+ private:
+  void train(World& world) const override;
+  monitor::OperationUsage run_forced(
+      World& world, const solver::Alternative& alt) const override;
+  core::OperationChoice begin(World& world) const override;
+  void execute(World& world) const override;
+};
+
 // ------------------------------------------------------------------- latex
 
-class LatexExperiment {
+class LatexExperiment : public AppExperiment<LatexConfig> {
  public:
-  struct Config {
-    LatexScenario scenario = LatexScenario::kBaseline;
-    std::string doc = "small";
-    std::uint64_t seed = 1;
-    int training_runs = 20;  // "we first executed Latex 20 times"
-    util::Seconds settle_time = 12.0;
-    std::function<void(core::SpectraClientConfig&)> spectra_overrides;
-    std::optional<fault::FaultPlan> fault_plan;
-    obs::Observability* obs = nullptr;
-    bool reuse_trained_world = default_reuse_trained_world();
-  };
-
-  explicit LatexExperiment(Config config) : config_(config) {}
+  using Config = LatexConfig;
+  explicit LatexExperiment(Config config);
 
   // local, remote on server A, remote on server B.
   static std::vector<solver::Alternative> alternatives();
   static std::string label(const solver::Alternative& alt);
 
-  MeasuredRun measure(const solver::Alternative& alt) const {
-    return measure(alt, config_.obs);
-  }
-  MeasuredRun run_spectra() const { return run_spectra(config_.obs); }
-  MeasuredRun measure(const solver::Alternative& alt,
-                      obs::Observability* run_obs) const;
-  MeasuredRun run_spectra(obs::Observability* run_obs) const;
-  std::unique_ptr<World> trained_world() const {
-    return trained_world(config_.obs);
-  }
-  std::unique_ptr<World> trained_world(obs::Observability* obs) const;
-
-  // Trained world for one daemon session (scenario::app_service_factory):
-  // a clone of the shared template when reuse is on, a fresh retrain
-  // otherwise — exactly what each measured run gets.
-  std::unique_ptr<World> session_world() const {
-    return measurement_world(nullptr);
-  }
-
  private:
-  std::unique_ptr<World> measurement_world(obs::Observability* run_obs) const;
-  std::shared_ptr<const World> template_world() const;
-
-  Config config_;
-  mutable std::once_flag template_once_;
-  mutable std::shared_ptr<const World> template_;
+  void train(World& world) const override;
+  monitor::OperationUsage run_forced(
+      World& world, const solver::Alternative& alt) const override;
+  core::OperationChoice begin(World& world) const override;
+  void execute(World& world) const override;
 };
 
 // ---------------------------------------------------------------- pangloss
 
-class PanglossExperiment {
+class PanglossExperiment : public AppExperiment<PanglossConfig> {
  public:
-  struct Config {
-    PanglossScenario scenario = PanglossScenario::kBaseline;
-    std::uint64_t seed = 1;
-    int test_words = 10;
-    int training_runs = 129;  // "we first translated a set of 129 sentences"
-    util::Seconds settle_time = 12.0;
-    std::function<void(core::SpectraClientConfig&)> spectra_overrides;
-    std::optional<fault::FaultPlan> fault_plan;
-    obs::Observability* obs = nullptr;
-    bool reuse_trained_world = default_reuse_trained_world();
-  };
-
-  explicit PanglossExperiment(Config config) : config_(config) {}
+  using Config = PanglossConfig;
+  explicit PanglossExperiment(Config config);
 
   // All distinct combinations of location and fidelity (~97, the paper's
   // "100 different combinations").
   static std::vector<solver::Alternative> alternatives();
   static std::string label(const solver::Alternative& alt);
 
-  MeasuredRun measure(const solver::Alternative& alt) const {
-    return measure(alt, config_.obs);
-  }
-  MeasuredRun run_spectra() const { return run_spectra(config_.obs); }
-  MeasuredRun measure(const solver::Alternative& alt,
-                      obs::Observability* run_obs) const;
-  MeasuredRun run_spectra(obs::Observability* run_obs) const;
-  std::unique_ptr<World> trained_world() const {
-    return trained_world(config_.obs);
-  }
-  std::unique_ptr<World> trained_world(obs::Observability* obs) const;
-
   // Achieved utility of a measured run of `alt` (all Pangloss scenarios are
   // wall-powered, so c = 0 and energy does not contribute).
   static double achieved_utility(const MeasuredRun& run,
                                  const solver::Alternative& alt);
 
-  // See SpeechExperiment::session_world.
-  std::unique_ptr<World> session_world() const {
-    return measurement_world(nullptr);
-  }
+  // Figures 8 and 9 for one trial: the percentile of Spectra's achieved
+  // utility among every alternative's (99 = best choice), and its ratio
+  // to the best (the zero-overhead oracle).
+  struct Score {
+    double percentile = 0.0;
+    double relative_utility = 0.0;
+  };
+  static Score score(const Trial& trial);
 
  private:
-  std::unique_ptr<World> measurement_world(obs::Observability* run_obs) const;
-  std::shared_ptr<const World> template_world() const;
-
-  Config config_;
-  mutable std::once_flag template_once_;
-  mutable std::shared_ptr<const World> template_;
+  void train(World& world) const override;
+  monitor::OperationUsage run_forced(
+      World& world, const solver::Alternative& alt) const override;
+  core::OperationChoice begin(World& world) const override;
+  void execute(World& world) const override;
+  solver::Alternative recorded(
+      const solver::Alternative& alt) const override;
 };
 
 // --------------------------------------------------------------- overhead
+
+// The null operation of Fig 10: a service that returns at once, run on the
+// kOverhead testbed. Overhead-testbed servers take machine ids 1..N and id
+// 9 is the file server, so at most 8 servers fit.
+constexpr const char* kNullOp = "null.op";
+constexpr std::size_t kMaxOverheadServers = 8;
+
+// A bare kOverhead-testbed world with `servers` servers. Callers install
+// the operation, settle and train it themselves.
+std::unique_ptr<World> overhead_world(std::size_t servers, std::uint64_t seed,
+                                      obs::Observability* obs = nullptr);
+// Install the null service on every server and on the client's co-located
+// server.
+void install_null_service(World& world);
+core::OperationDesc null_op_desc();
+// install_null_service, then register null.op. World::clone copies neither
+// RPC handlers nor registrations, so clones need this too.
+void prepare_null_op(World& world);
+// The request body of one null operation.
+rpc::Request null_request();
 
 // Fig 10: cost of a null operation under 0 / 1 / 5 candidate servers.
 struct OverheadReport {

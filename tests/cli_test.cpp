@@ -2,9 +2,11 @@
 
 #include "cli/args.h"
 #include "cli/flags.h"
+#include "exec/thread_pool.h"
 #include "util/assert.h"
 #include "util/log.h"
 
+#include <cstdlib>
 #include <map>
 #include <set>
 #include <sstream>
@@ -69,6 +71,35 @@ TEST(ArgsTest, CountsRejectNegativeZeroAndOversized) {
               std::string::npos)
         << e.what();
   }
+}
+
+TEST(ArgsTest, JobsArgValidatesTheFlag) {
+  EXPECT_EQ(jobs_arg(Args::parse({"speech", "--jobs=3"})), 3u);
+  EXPECT_EQ(jobs_arg(Args::parse({"speech", "--jobs=0"})),
+            exec::ThreadPool::hardware_concurrency());
+  EXPECT_THROW(jobs_arg(Args::parse({"speech", "--jobs=abc"})),
+               util::ContractError);
+  EXPECT_THROW(jobs_arg(Args::parse({"speech", "--jobs=-1"})),
+               util::ContractError);
+  EXPECT_THROW(jobs_arg(Args::parse({"speech", "--jobs=1025"})),
+               util::ContractError);
+
+  // SPECTRA_JOBS is the fallback, checked the same way; the flag wins.
+  const char* saved = std::getenv("SPECTRA_JOBS");
+  const std::string restore = saved != nullptr ? saved : "";
+  const auto none = Args::parse({"speech"});
+  ::setenv("SPECTRA_JOBS", "6", 1);
+  EXPECT_EQ(jobs_arg(none), 6u);
+  EXPECT_EQ(jobs_arg(Args::parse({"speech", "--jobs=2"})), 2u);
+  for (const char* bad : {"abc", "-5", "4x", "100000"}) {
+    ::setenv("SPECTRA_JOBS", bad, 1);
+    EXPECT_THROW(jobs_arg(none), util::ContractError) << bad;
+  }
+  ::setenv("SPECTRA_JOBS", "", 1);
+  EXPECT_EQ(jobs_arg(none), 1u);
+  ::unsetenv("SPECTRA_JOBS");
+  EXPECT_EQ(jobs_arg(none), 1u);
+  if (saved != nullptr) ::setenv("SPECTRA_JOBS", restore.c_str(), 1);
 }
 
 TEST(ArgsTest, MalformedOptionsRejected) {
@@ -149,6 +180,42 @@ TEST(FlagsTest, StandaloneListChecksOnlyItsOwnFlags) {
   const auto bad = unknown_flag(tool, Args::parse({"--decison=5"}));
   ASSERT_TRUE(bad.has_value());
   EXPECT_EQ(*bad, "decison");
+}
+
+TEST(FlagsTest, ValueFormFollowsTheHint) {
+  // An option with a value hint needs =VALUE; `--json` alone used to be
+  // taken as a switch and the report silently not written.
+  const auto bare = misused_flag(
+      "fleet", Args::parse({"fleet", "--clients=64", "--json"}));
+  ASSERT_TRUE(bare.has_value());
+  EXPECT_EQ(*bare, "option --json needs a value: --json=FILE");
+  // A switch takes no value.
+  const auto valued =
+      misused_flag("chaos", Args::parse({"chaos", "--no-replay=1"}));
+  ASSERT_TRUE(valued.has_value());
+  EXPECT_EQ(*valued, "option --no-replay takes no value");
+  EXPECT_TRUE(misused_flag("speech", Args::parse({"speech", "--verbose=2"})));
+  // Right forms, an empty value, and undeclared names pass this check.
+  EXPECT_FALSE(misused_flag(
+      "chaos", Args::parse({"chaos", "--no-replay", "--json=r.json"})));
+  EXPECT_FALSE(misused_flag("fleet", Args::parse({"fleet", "--json="})));
+  EXPECT_FALSE(misused_flag("fleet", Args::parse({"fleet", "--polcy"})));
+  EXPECT_FALSE(misused_flag("bogus", Args::parse({"bogus", "--x"})));
+}
+
+TEST(FlagsTest, EveryDeclaredFormIsAccepted) {
+  for (const Command& c : commands()) {
+    std::vector<std::string> tokens = {c.name};
+    for (const Flag& f : c.flags) {
+      tokens.push_back("--" + f.name + (f.hint.empty() ? "" : "=1"));
+    }
+    const auto args = Args::parse(tokens);
+    EXPECT_FALSE(unknown_flag(c.name, args)) << c.name;
+    EXPECT_FALSE(misused_flag(c.name, args)) << c.name;
+  }
+  const FlagList tool = {{"json", "FILE"}, {"jobs", "N"}};
+  EXPECT_FALSE(misused_flag(tool, Args::parse({"--jobs=2", "--json=x"})));
+  EXPECT_TRUE(misused_flag(tool, Args::parse({"--jobs"})));
 }
 
 // Option names per command, read back from the rendered usage synopsis.

@@ -4,7 +4,9 @@
 // how many workers execute it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <mutex>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -426,6 +428,59 @@ TEST(BatchDeterminismTest, PanglossFig8TableByteIdenticalAcrossJobs) {
   const auto sequential = run_cell(1);
   const auto parallel = run_cell(8);
   EXPECT_EQ(sequential, parallel);
+}
+
+// ---------------------------------------------------------- trial runner
+
+TEST(TrialRunnerTest, SeedsStepBySeventeenAndRunsEveryAlternative) {
+  std::mutex mu;
+  std::vector<std::uint64_t> seeds;
+  const auto run = [&](std::size_t jobs) {
+    BatchRunner batch(jobs);
+    return scenario::run_trials(
+        batch, nullptr, 3, 5, [&](std::uint64_t seed, obs::Observability*) {
+          {
+            std::lock_guard<std::mutex> lock(mu);
+            seeds.push_back(seed);
+          }
+          LatexExperiment::Config cfg;
+          cfg.seed = seed;
+          cfg.training_runs = 4;  // test-sized
+          return LatexExperiment(cfg);
+        });
+  };
+  const auto sequential = run(1);
+  std::sort(seeds.begin(), seeds.end());
+  EXPECT_EQ(seeds, (std::vector<std::uint64_t>{5, 22, 39}));
+  ASSERT_EQ(sequential.size(), 3u);
+  const auto alts = LatexExperiment::alternatives();
+  const auto parallel = run(4);
+  for (std::size_t t = 0; t < sequential.size(); ++t) {
+    ASSERT_EQ(sequential[t].runs.size(), alts.size());
+    for (std::size_t a = 0; a < alts.size(); ++a) {
+      EXPECT_TRUE(sequential[t].runs[a].feasible);
+      EXPECT_EQ(sequential[t].runs[a].time, parallel[t].runs[a].time);
+    }
+    EXPECT_EQ(sequential[t].spectra.time, parallel[t].spectra.time);
+  }
+}
+
+TEST(TrialRunnerTest, MostChosenTieGoesToSmallestLabel) {
+  const auto alts = LatexExperiment::alternatives();  // local, A, B
+  const auto trials_choosing = [&](std::vector<std::size_t> picks) {
+    std::vector<scenario::Trial> trials(picks.size());
+    for (std::size_t t = 0; t < picks.size(); ++t) {
+      trials[t].spectra.choice.alternative = alts[picks[t]];
+    }
+    return trials;
+  };
+  const auto label = &LatexExperiment::label;
+  EXPECT_EQ(scenario::most_chosen(trials_choosing({2, 1, 2}), label),
+            "serverB");
+  EXPECT_EQ(scenario::most_chosen(trials_choosing({2, 0, 2, 0}), label),
+            "local");
+  EXPECT_EQ(scenario::most_chosen(trials_choosing({2, 1}), label), "serverA");
+  EXPECT_EQ(scenario::most_chosen({}, label), "");
 }
 
 }  // namespace

@@ -5,6 +5,11 @@
 # Fails unless the program exits with <status> and its output matches
 # <regex>. In CMake regexes `.` also matches a newline, so one pattern can
 # assert that one line of output follows another.
+#
+#   cmake -DEXPECT_FILE=<file> -DACTUAL=<file> -P expect_output.cmake -- <program> [args...]
+#
+# Fails unless the program exits 0 and its stdout, kept in <ACTUAL>, equals
+# <EXPECT_FILE> byte for byte.
 set(cmd)
 set(after_dashes FALSE)
 math(EXPR last "${CMAKE_ARGC} - 1")
@@ -17,6 +22,19 @@ foreach(i RANGE ${last})
 endforeach()
 if(NOT cmd)
   message(FATAL_ERROR "usage: cmake -DRC=N -DEXPECT=RE -P ${CMAKE_SCRIPT_MODE_FILE} -- <program> [args...]")
+endif()
+
+if(DEFINED EXPECT_FILE)
+  execute_process(COMMAND ${cmd} RESULT_VARIABLE rc OUTPUT_FILE "${ACTUAL}")
+  if(NOT "${rc}" STREQUAL "0")
+    message(FATAL_ERROR "expected exit status 0, got ${rc}")
+  endif()
+  execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
+                          "${EXPECT_FILE}" "${ACTUAL}" RESULT_VARIABLE differs)
+  if(differs)
+    message(FATAL_ERROR "output differs: diff ${EXPECT_FILE} ${ACTUAL}")
+  endif()
+  return()
 endif()
 
 execute_process(COMMAND ${cmd} RESULT_VARIABLE rc

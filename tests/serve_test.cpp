@@ -444,6 +444,22 @@ TEST(ServerTest, InBandErrorKeepsConnectionUsable) {
   client.hello("err");
   // Unknown app: an in-band error (kError reply), not a framing violation.
   EXPECT_THROW(client.register_app("no-such-app", "", 1), ProtocolError);
+  // Overhead-testbed servers take machine ids 1..8 (9 is the file server),
+  // so a nullop session with more servers is refused up front, naming the
+  // range, instead of failing inside the world build.
+  for (const char* scenario : {"9srv", "64srv", "0srv"}) {
+    try {
+      client.register_app("nullop", scenario, 1);
+      ADD_FAILURE() << scenario << " accepted";
+    } catch (const ProtocolError& e) {
+      EXPECT_NE(std::string(e.what()).find("wants 1-8 servers"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  const auto widest = scenario::app_service_factory()("nullop", "8srv", 1);
+  EXPECT_TRUE(widest->begin_op(core::ServiceBeginRequest{}).ok);
+  EXPECT_TRUE(widest->end_op().ok);
   // Same connection still works.
   EXPECT_EQ(client.register_app("nullop", "baseline", 1).op, "null.op");
   EXPECT_TRUE(client.begin_op(BeginOpMsg{}).ok);
