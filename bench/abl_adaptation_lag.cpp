@@ -16,8 +16,6 @@ using namespace spectra::scenario; // NOLINT
 
 namespace {
 
-using apps::JanusApp;
-
 std::string choice_after(SpeechScenario scenario, double settle) {
   SpeechExperiment::Config cfg;
   cfg.seed = 1000;
@@ -26,11 +24,8 @@ std::string choice_after(SpeechScenario scenario, double settle) {
   auto world = exp.trained_world();
   apply(*world, scenario);  // the change happens NOW
   world->settle(settle);
-  const auto choice = world->spectra().begin_fidelity_op(
-      JanusApp::kOperation, {{"utt_len", 2.0}});
-  world->janus().execute(world->spectra(), 2.0);
-  world->spectra().end_fidelity_op();
-  return SpeechExperiment::label(choice.alternative);
+  const MeasuredRun run = exp.run_spectra_on(*world);
+  return SpeechExperiment::label(run.choice.alternative);
 }
 
 }  // namespace

@@ -25,12 +25,8 @@ std::string choice_at(double c) {
   auto world = exp.trained_world();
   world->client_machine().set_on_battery(true);
   pin_energy_importance(*world, c);
-  auto& spectra = world->spectra();
-  const auto choice = spectra.begin_fidelity_op(
-      apps::JanusApp::kOperation, {{"utt_len", 2.0}});
-  world->janus().execute(spectra, 2.0);
-  spectra.end_fidelity_op();
-  return SpeechExperiment::label(choice.alternative);
+  const MeasuredRun run = exp.run_spectra_on(*world);
+  return SpeechExperiment::label(run.choice.alternative);
 }
 
 }  // namespace

@@ -18,7 +18,6 @@
 #include <fstream>
 #include <iostream>
 
-#include "apps/latex.h"
 #include "bench_util.h"
 #include "fault/fault_plan.h"
 #include "scenario/experiment.h"
@@ -29,8 +28,6 @@ using namespace spectra;            // NOLINT
 using namespace spectra::scenario;  // NOLINT
 
 namespace {
-
-using apps::LatexApp;
 
 struct PolicyResult {
   Aggregate recovery;       // elapsed of the interrupted op
@@ -56,8 +53,8 @@ Trial run_trial(std::uint64_t seed, bool health_aware, bool crash_both) {
   auto w = LatexExperiment(cfg).trained_world();
   auto& spectra = w->spectra();
 
-  const auto choice =
-      spectra.begin_fidelity_op(LatexApp::kOperation, {}, "small");
+  const AppOp op(App::kLatex, {"", {}, "small"});
+  const auto choice = op.begin(*w);
   if (!choice.ok || choice.alternative.server < 0) return {};
   fault::FaultPlan plan;
   for (MachineId sid : {kServerA, kServerB}) {
@@ -73,15 +70,15 @@ Trial run_trial(std::uint64_t seed, bool health_aware, bool crash_both) {
 
   Trial t;
   const double t0 = w->engine().now();
-  w->latex().execute(spectra, "small");
+  op.execute(*w);
   // Degrading adopts the co-located server under the client's own id.
   t.fell_back_local = spectra.current_choice().alternative.server <= kClient;
   spectra.end_fidelity_op();
   t.recovery_s = w->engine().now() - t0;
 
   const double t1 = w->engine().now();
-  spectra.begin_fidelity_op(LatexApp::kOperation, {}, "small");
-  w->latex().execute(spectra, "small");
+  op.begin(*w);
+  op.execute(*w);
   spectra.end_fidelity_op();
   t.follow_up_s = w->engine().now() - t1;
   return t;

@@ -32,12 +32,11 @@
 #include <string>
 #include <vector>
 
-#include "apps/janus.h"
-#include "apps/pangloss.h"
 #include "cli/args.h"
 #include "cli/flags.h"
 #include "predict/numeric.h"
 #include "predict/operation_model.h"
+#include "scenario/app_op.h"
 #include "scenario/experiment.h"
 #include "scenario/world.h"
 #include "solver/solver.h"
@@ -135,19 +134,18 @@ std::unique_ptr<World> nullop_world(std::size_t servers) {
   world->settle(6.0);
   // Train past the exploration phase so measured decisions run the full
   // model + solver path.
-  for (int i = 0; i < 16; ++i) {
-    solver::Alternative local;
-    local.plan = 0;
-    local.fidelity["level"] = 1.0;
-    world->spectra().begin_fidelity_op_forced(kNullOp, {}, "", local);
-    world->spectra().do_local_op(kNullOp, null_request());
-    world->spectra().end_fidelity_op();
-  }
+  train_null_op(*world, {{0, -1, {{"level", 1.0}}}}, 16);
   return world;
 }
 
-DecisionSample sample_from(const core::OperationChoice& choice, double t0,
-                           double t1) {
+// One decision cycle through the app table: the timed begin, then the
+// operation and end_fidelity_op.
+DecisionSample decide(World& world, const AppOp& op) {
+  const double t0 = wall_ms();
+  const core::OperationChoice choice = op.begin(world);
+  const double t1 = wall_ms();
+  op.execute(world);
+  world.spectra().end_fidelity_op();
   DecisionSample s;
   s.begin_ms = t1 - t0;
   s.cache_ms = choice.wall_cache_prediction * 1000.0;
@@ -295,46 +293,27 @@ int main(int argc, char** argv) {
 
   {
     auto world = nullop_world(1);
-    results.push_back(run_scenario("nullop_1srv", decisions, reps, [&] {
-      const double t0 = wall_ms();
-      const auto choice = world->spectra().begin_fidelity_op(kNullOp, {});
-      const double t1 = wall_ms();
-      world->spectra().do_local_op(kNullOp, null_request());
-      world->spectra().end_fidelity_op();
-      return sample_from(choice, t0, t1);
-    }));
+    const AppOp op(App::kNullop, {});
+    results.push_back(run_scenario("nullop_1srv", decisions, reps,
+                                   [&] { return decide(*world, op); }));
   }
 
   {
     SpeechExperiment::Config cfg;
     cfg.seed = 1;
-    SpeechExperiment exp(cfg);
-    auto world = exp.trained_world();
-    results.push_back(run_scenario("speech", decisions, reps, [&] {
-      const double t0 = wall_ms();
-      const auto choice = world->spectra().begin_fidelity_op(
-          apps::JanusApp::kOperation, {{"utt_len", 2.0}});
-      const double t1 = wall_ms();
-      world->janus().execute(world->spectra(), 2.0);
-      world->spectra().end_fidelity_op();
-      return sample_from(choice, t0, t1);
-    }));
+    auto world = SpeechExperiment(cfg).trained_world();
+    const AppOp op(App::kSpeech, {"", {{"utt_len", 2.0}}, ""});
+    results.push_back(run_scenario("speech", decisions, reps,
+                                   [&] { return decide(*world, op); }));
   }
 
   {
     PanglossExperiment::Config cfg;
     cfg.seed = 1;
-    PanglossExperiment exp(cfg);
-    auto world = exp.trained_world();
-    results.push_back(run_scenario("pangloss", decisions, reps, [&] {
-      const double t0 = wall_ms();
-      const auto choice = world->spectra().begin_fidelity_op(
-          apps::PanglossApp::kOperation, {{"words", 12.0}});
-      const double t1 = wall_ms();
-      world->pangloss().execute(world->spectra(), 12);
-      world->spectra().end_fidelity_op();
-      return sample_from(choice, t0, t1);
-    }));
+    auto world = PanglossExperiment(cfg).trained_world();
+    const AppOp op(App::kPangloss, {"", {{"words", 12.0}}, ""});
+    results.push_back(run_scenario("pangloss", decisions, reps,
+                                   [&] { return decide(*world, op); }));
   }
 
   util::Table table("micro_decision: begin_fidelity_op hot path (wall-clock)");

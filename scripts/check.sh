@@ -283,14 +283,18 @@ SPECTRA_TRIALS=2 "$TSMOKE/src/cli/spectra" speech --trials=2 --jobs=4 >/dev/null
 echo "== sanitize smoke (undefined) =="
 # UB in the failure paths (journal replay, breaker arithmetic, fingerprint
 # hashing) only executes under faults, so the UBSan build drives the chaos
-# suite plus a small soak through the CLI.
+# suite plus a small soak through the CLI. The daemon cases then send
+# session inputs far out of range (NaN, 1e300 words) and record every app,
+# so the input checks and the float-to-int conversion run sanitized too.
 USMOKE="$BUILD-ubsan"
 cmake -B "$USMOKE" -S . -DSPECTRA_SANITIZE=undefined >/dev/null
-cmake --build "$USMOKE" -j "$(nproc)" --target chaos_test journal_test spectra
+cmake --build "$USMOKE" -j "$(nproc)" --target chaos_test journal_test spectra \
+    serve_test
 export UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1"
 "$USMOKE/tests/chaos_test"
 "$USMOKE/tests/journal_test"
 "$USMOKE/src/cli/spectra" chaos --app=latex --plans=3 --ops=2 --jobs=2 >/dev/null
+"$USMOKE/tests/serve_test" --gtest_filter='ServerTest.BadSessionInputRefusedBeforeBegin:ReplayGoldenTest.AppSessionsMatchGoldenAndReplayIdentically'
 unset UBSAN_OPTIONS
 
 echo "== chaos soak =="

@@ -96,7 +96,6 @@ class PanglossApp {
       const std::map<std::string, double>& params, const std::string& tag);
 
   void execute(core::SpectraClient& client, int words) const;
-  monitor::OperationUsage run(core::SpectraClient& client, int words) const;
   monitor::OperationUsage run_forced(core::SpectraClient& client, int words,
                                      const solver::Alternative& alt) const;
 

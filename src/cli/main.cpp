@@ -12,6 +12,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 
 #include "cli/args.h"
 #include "cli/flags.h"
@@ -39,7 +40,6 @@ using namespace spectra::scenario;  // NOLINT: CLI brevity
 // Upper bounds for count options: far past any useful run, low enough that
 // a typo fails fast instead of allocating for hours.
 constexpr long kMaxTrials = 10'000;
-constexpr long kMaxWords = 1'000;
 
 int usage() {
   std::cout <<
@@ -238,7 +238,8 @@ int cmd_latex(const Args& args) {
 
 int cmd_pangloss(const Args& args) {
   const auto sc = parse_pangloss_scenario(args.get("scenario", "baseline"));
-  const int words = static_cast<int>(args.get_count("words", 10, kMaxWords));
+  const int words =
+      static_cast<int>(args.get_count("words", 10, kMaxPanglossWords));
   const std::size_t trials = args.get_count("trials", 1, kMaxTrials);
   const std::uint64_t first_seed =
       static_cast<std::uint64_t>(args.get_int("seed", 1000));
@@ -310,7 +311,8 @@ int cmd_explain(const Args& args) {
                   "explain needs an application: speech|latex|pangloss");
   const std::string app = args.positionals()[0];
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1000));
-  const int words = static_cast<int>(args.get_count("words", 10, kMaxWords));
+  const int words =
+      static_cast<int>(args.get_count("words", 10, kMaxPanglossWords));
   CliObs obs = obs_args(args);
 
   // One Spectra run from the trained state, decision trace captured.
@@ -355,17 +357,12 @@ int cmd_explain(const Args& args) {
 
 int cmd_chaos(const Args& args) {
   const std::string app_arg = args.get("app", "all");
-  std::vector<SoakApp> apps_to_soak;
-  if (app_arg == "all") {
-    apps_to_soak = {SoakApp::kSpeech, SoakApp::kLatex, SoakApp::kPangloss};
-  } else if (app_arg == "speech") {
-    apps_to_soak = {SoakApp::kSpeech};
-  } else if (app_arg == "latex") {
-    apps_to_soak = {SoakApp::kLatex};
-  } else if (app_arg == "pangloss") {
-    apps_to_soak = {SoakApp::kPangloss};
-  } else {
-    SPECTRA_REQUIRE(false, "--app must be speech, latex, pangloss, or all");
+  std::vector<App> apps_to_soak = {App::kSpeech, App::kLatex, App::kPangloss};
+  if (app_arg != "all") {
+    const std::optional<App> app = parse_app(app_arg);
+    SPECTRA_REQUIRE(app && *app != App::kNullop,
+                    "--app must be speech, latex, pangloss, or all");
+    apps_to_soak = {*app};
   }
 
   CliObs obs = obs_args(args);
@@ -519,43 +516,15 @@ int cmd_serve(const Args& args) {
             << (stats.shutdown_frame ? "shutdown frame" : "signal") << "), "
             << stats.connections << " connection(s), " << stats.ops
             << " op(s) served\n";
-  // Self-protection ledger: every refused/closed/dropped unit of work is
-  // accounted somewhere below (and mirrored as serve.* trace lines).
-  std::cout << "spectra serve: shed=" << stats.sheds
-            << " idle_timeouts=" << stats.idle_timeouts
-            << " frame_timeouts=" << stats.frame_timeouts
-            << " slow_consumer_closes=" << stats.slow_consumer_closes
-            << " protocol_errors=" << stats.protocol_errors
-            << " dropped_frames=" << stats.dropped_frames
-            << " dropped_bytes=" << stats.dropped_bytes << "\n";
-  std::cout << "spectra serve: parked=" << stats.parked
-            << " resumed=" << stats.resumed
-            << " replayed_cached=" << stats.replayed_cached
-            << " wal_sessions=" << stats.wal_sessions
-            << " wal_ops=" << stats.wal_ops << "\n";
+  // Self-protection and recovery ledger: every refused/closed/dropped unit
+  // of work is accounted here (and mirrored as serve.* trace lines).
+  std::cout << stats.ledger("spectra serve: ");
 
   const std::string json_path = args.get("stats-json", "");
   if (!json_path.empty()) {
     std::ofstream out(json_path);
     SPECTRA_REQUIRE(out.good(), "cannot write " + json_path);
-    out << "{\n"
-        << "  \"connections\": " << stats.connections << ",\n"
-        << "  \"ops\": " << stats.ops << ",\n"
-        << "  \"sheds\": " << stats.sheds << ",\n"
-        << "  \"idle_timeouts\": " << stats.idle_timeouts << ",\n"
-        << "  \"frame_timeouts\": " << stats.frame_timeouts << ",\n"
-        << "  \"slow_consumer_closes\": " << stats.slow_consumer_closes
-        << ",\n"
-        << "  \"protocol_errors\": " << stats.protocol_errors << ",\n"
-        << "  \"dropped_frames\": " << stats.dropped_frames << ",\n"
-        << "  \"dropped_bytes\": " << stats.dropped_bytes << ",\n"
-        << "  \"parked\": " << stats.parked << ",\n"
-        << "  \"resumed\": " << stats.resumed << ",\n"
-        << "  \"replayed_cached\": " << stats.replayed_cached << ",\n"
-        << "  \"wal_sessions\": " << stats.wal_sessions << ",\n"
-        << "  \"wal_ops\": " << stats.wal_ops << ",\n"
-        << "  \"wal_truncated_bytes\": " << stats.wal_truncated_bytes << "\n"
-        << "}\n";
+    out << stats.to_json();
   }
   return 0;
 }

@@ -1,43 +1,31 @@
 #include "scenario/app_service.h"
 
 #include <algorithm>
-#include <functional>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "apps/janus.h"
-#include "apps/latex.h"
-#include "apps/pangloss.h"
+#include "scenario/app_op.h"
 #include "scenario/batch.h"
 #include "scenario/experiment.h"
 #include "scenario/scenarios.h"
 #include "scenario/world.h"
-#include "solver/utility.h"
 #include "util/assert.h"
 
 namespace spectra::scenario {
 namespace {
-
-enum class ServiceApp { kNullop, kSpeech, kLatex, kPangloss };
 
 // ---- nullop world (the Fig-10 overhead testbed as a service) -------------
 
 std::vector<solver::Alternative> nullop_alternatives(const World& world) {
   std::vector<solver::Alternative> alts;
   for (double level : {1.0, 0.0}) {
-    solver::Alternative local;
-    local.plan = 0;
-    local.fidelity["level"] = level;
-    alts.push_back(local);
+    alts.push_back({0, -1, {{"level", level}}});
     for (MachineId id : world.server_ids()) {
-      solver::Alternative remote;
-      remote.plan = 1;
-      remote.server = id;
-      remote.fidelity["level"] = level;
-      alts.push_back(remote);
+      alts.push_back({1, id, {{"level", level}}});
     }
   }
   return alts;
@@ -52,13 +40,7 @@ std::unique_ptr<World> build_nullop_world(std::size_t servers,
   // Round-robin forced training over the whole alternative space so the
   // served decisions come from a model that has seen every placement.
   const auto alts = nullop_alternatives(*world);
-  const int runs = static_cast<int>(alts.size()) * 3;
-  for (int i = 0; i < runs; ++i) {
-    world->spectra().begin_fidelity_op_forced(
-        kNullOp, {}, "", alts[static_cast<std::size_t>(i) % alts.size()]);
-    world->spectra().do_local_op(kNullOp, null_request());
-    world->spectra().end_fidelity_op();
-  }
+  train_null_op(*world, alts, static_cast<int>(alts.size()) * 3);
   world->settle(2.0);
   return world;
 }
@@ -104,21 +86,19 @@ std::unique_ptr<World> nullop_session_world(const std::string& scenario,
 
 class WorldDecisionService : public core::DecisionService {
  public:
-  WorldDecisionService(ServiceApp app, std::string app_name,
-                       std::string scenario, std::uint64_t seed,
+  WorldDecisionService(App app, std::string scenario, std::uint64_t seed,
                        std::unique_ptr<World> world)
       : app_(app),
-        app_name_(std::move(app_name)),
         scenario_(std::move(scenario)),
         seed_(seed),
         world_(std::move(world)) {}
 
   core::ServiceStatus status() const override {
     core::ServiceStatus s;
-    s.app = app_name_;
+    s.app = to_string(app_);
     s.scenario = scenario_;
     s.seed = seed_;
-    s.op = op_name();
+    s.op = operation_name(app_);
     s.ops_begun = ops_begun_;
     s.ops_completed = ops_completed_;
     s.op_in_progress = world_->spectra().op_in_progress();
@@ -130,60 +110,20 @@ class WorldDecisionService : public core::DecisionService {
       const core::ServiceBeginRequest& request) override {
     SPECTRA_REQUIRE(!world_->spectra().op_in_progress(),
                     "operation already in progress in this session");
-    SPECTRA_REQUIRE(request.op.empty() || request.op == op_name(),
-                    "session serves operation " + std::string(op_name()) +
+    const char* op_name = operation_name(app_);
+    SPECTRA_REQUIRE(request.op.empty() || request.op == op_name,
+                    "session serves operation " + std::string(op_name) +
                         ", not " + request.op);
-    core::SpectraClient& spectra = world_->spectra();
-    core::OperationChoice choice;
-    switch (app_) {
-      case ServiceApp::kNullop: {
-        choice = spectra.begin_fidelity_op(kNullOp, request.params);
-        pending_ = [this] {
-          rpc::Request req;
-          req.op_type = kNullOp;
-          req.payload = 64.0;
-          world_->spectra().do_local_op(kNullOp, req);
-        };
-        break;
-      }
-      case ServiceApp::kSpeech: {
-        const double utt = param_or(request, "utt_len", 2.0);
-        choice = spectra.begin_fidelity_op(apps::JanusApp::kOperation,
-                                           {{"utt_len", utt}});
-        pending_ = [this, utt] {
-          world_->janus().execute(world_->spectra(), utt);
-        };
-        break;
-      }
-      case ServiceApp::kLatex: {
-        const std::string doc =
-            request.data_tag.empty() ? "small" : request.data_tag;
-        SPECTRA_REQUIRE(doc == "small" || doc == "large",
-                        "latex data tag must be small or large, got: " + doc);
-        choice = spectra.begin_fidelity_op(apps::LatexApp::kOperation, {}, doc);
-        pending_ = [this, doc] {
-          world_->latex().execute(world_->spectra(), doc);
-        };
-        break;
-      }
-      case ServiceApp::kPangloss: {
-        const int words =
-            static_cast<int>(param_or(request, "words", 10.0));
-        SPECTRA_REQUIRE(words >= 1, "pangloss needs words >= 1");
-        choice = spectra.begin_fidelity_op(
-            apps::PanglossApp::kOperation,
-            {{"words", static_cast<double>(words)}});
-        pending_ = [this, words] {
-          world_->pangloss().execute(world_->spectra(), words);
-        };
-        break;
-      }
-    }
+    // Checks the input before anything is begun, so a bad request leaves
+    // the session idle and is never recorded.
+    AppOp op(app_, request);
+    const core::OperationChoice choice = op.begin(*world_);
     SPECTRA_REQUIRE(choice.ok, "no feasible alternative for " +
-                                   std::string(op_name()));
+                                   std::string(op_name));
+    pending_ = std::move(op);
     ++ops_begun_;
 
-    const auto& desc = spectra.operation_desc(op_name());
+    const auto& desc = world_->spectra().operation_desc(op_name);
     core::ServiceDecision d;
     d.ok = true;
     d.from_model = choice.from_model;
@@ -202,10 +142,10 @@ class WorldDecisionService : public core::DecisionService {
   core::ServiceOpResult end_op() override {
     SPECTRA_REQUIRE(world_->spectra().op_in_progress() && pending_,
                     "no operation in progress in this session");
-    auto run = std::move(pending_);
-    pending_ = nullptr;
+    const AppOp op = std::move(*pending_);
+    pending_.reset();
     try {
-      run();
+      op.execute(*world_);
     } catch (...) {
       // Abort the in-flight fidelity op so the session returns to a usable
       // idle state; otherwise op_in_progress stays true with pending_ gone
@@ -231,71 +171,48 @@ class WorldDecisionService : public core::DecisionService {
   }
 
  private:
-  const char* op_name() const {
-    switch (app_) {
-      case ServiceApp::kNullop:
-        return kNullOp;
-      case ServiceApp::kSpeech:
-        return apps::JanusApp::kOperation;
-      case ServiceApp::kLatex:
-        return apps::LatexApp::kOperation;
-      case ServiceApp::kPangloss:
-        return apps::PanglossApp::kOperation;
-    }
-    return "";
-  }
-
-  static double param_or(const core::ServiceBeginRequest& request,
-                         const std::string& name, double def) {
-    auto it = request.params.find(name);
-    return it == request.params.end() ? def : it->second;
-  }
-
-  ServiceApp app_;
-  std::string app_name_;
+  App app_;
   std::string scenario_;
   std::uint64_t seed_;
   std::unique_ptr<World> world_;
-  std::function<void()> pending_;
+  std::optional<AppOp> pending_;
   std::uint64_t ops_begun_ = 0;
   std::uint64_t ops_completed_ = 0;
 };
 
+// A session on the trained world of `Experiment` under `scenario`.
+template <typename Experiment, typename Parse>
+std::unique_ptr<core::DecisionService> experiment_session(
+    App app, const std::string& scenario, std::uint64_t seed, Parse parse) {
+  typename Experiment::Config cfg;
+  cfg.scenario = parse(scenario);
+  cfg.seed = seed;
+  return std::make_unique<WorldDecisionService>(
+      app, name(cfg.scenario), seed, Experiment(cfg).session_world());
+}
+
 std::unique_ptr<core::DecisionService> make_session(const std::string& app,
                                                     const std::string& scenario,
                                                     std::uint64_t seed) {
+  const std::optional<App> parsed = parse_app(app.empty() ? "nullop" : app);
+  SPECTRA_REQUIRE(parsed.has_value(),
+                  "unknown app: " + app +
+                      " (use nullop, speech, latex, or pangloss)");
   const std::string want = scenario.empty() ? "baseline" : scenario;
-  if (app == "nullop" || app.empty()) {
-    return std::make_unique<WorldDecisionService>(
-        ServiceApp::kNullop, "nullop", want, seed,
-        nullop_session_world(scenario, seed));
+  switch (*parsed) {
+    case App::kNullop:
+      return std::make_unique<WorldDecisionService>(
+          App::kNullop, want, seed, nullop_session_world(scenario, seed));
+    case App::kSpeech:
+      return experiment_session<SpeechExperiment>(*parsed, want, seed,
+                                                  parse_speech_scenario);
+    case App::kLatex:
+      return experiment_session<LatexExperiment>(*parsed, want, seed,
+                                                 parse_latex_scenario);
+    case App::kPangloss:
+      return experiment_session<PanglossExperiment>(*parsed, want, seed,
+                                                    parse_pangloss_scenario);
   }
-  if (app == "speech") {
-    SpeechExperiment::Config cfg;
-    cfg.scenario = parse_speech_scenario(want);
-    cfg.seed = seed;
-    return std::make_unique<WorldDecisionService>(
-        ServiceApp::kSpeech, "speech", name(cfg.scenario), seed,
-        SpeechExperiment(cfg).session_world());
-  }
-  if (app == "latex") {
-    LatexExperiment::Config cfg;
-    cfg.scenario = parse_latex_scenario(want);
-    cfg.seed = seed;
-    return std::make_unique<WorldDecisionService>(
-        ServiceApp::kLatex, "latex", name(cfg.scenario), seed,
-        LatexExperiment(cfg).session_world());
-  }
-  if (app == "pangloss") {
-    PanglossExperiment::Config cfg;
-    cfg.scenario = parse_pangloss_scenario(want);
-    cfg.seed = seed;
-    return std::make_unique<WorldDecisionService>(
-        ServiceApp::kPangloss, "pangloss", name(cfg.scenario), seed,
-        PanglossExperiment(cfg).session_world());
-  }
-  SPECTRA_REQUIRE(false, "unknown app: " + app +
-                             " (use nullop, speech, latex, or pangloss)");
   return nullptr;
 }
 

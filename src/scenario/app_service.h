@@ -15,6 +15,9 @@
 //   latex     — Latex on the ThinkPad testbed.
 //   pangloss  — Pangloss-Lite on the ThinkPad testbed.
 //
+// begin_op checks its input through the app table (scenario/app_op.h)
+// before anything is begun, so a bad input leaves the session idle.
+//
 // Decisions and results are a pure function of (app, scenario, seed,
 // request sequence): worlds are deterministic and sessions are
 // single-operation-at-a-time, which is what makes daemon records

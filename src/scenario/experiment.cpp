@@ -117,11 +117,10 @@ std::unique_ptr<World> AppExperiment<Config>::trained_world(
   return world;
 }
 
-// Globally cacheable configurations (no observability, no overrides, no
-// fault plan) go through the process-wide TrainedWorldCache, so several
-// experiment instances with the same training shape — e.g. one per test
-// sentence — share one trained world; everything else trains at most once
-// per experiment instance.
+// Globally cacheable configurations go through the process-wide
+// TrainedWorldCache, so several experiment instances with the same training
+// shape — e.g. one per test sentence, or a chaos soak — share one trained
+// world; everything else trains at most once per experiment instance.
 template <typename Config>
 std::shared_ptr<const World> AppExperiment<Config>::template_world() const {
   const auto build = [this] { return trained_world(config_.obs); };
@@ -131,7 +130,7 @@ std::shared_ptr<const World> AppExperiment<Config>::template_world() const {
     return template_;
   }
   std::ostringstream key;
-  key << app_ << '|' << static_cast<int>(config_.scenario) << '|'
+  key << to_string(app_) << '|' << static_cast<int>(config_.scenario) << '|'
       << config_.seed << '|' << config_.training_runs << '|'
       << config_.settle_time;
   return TrainedWorldCache::instance().get(key.str(), build);
@@ -151,8 +150,13 @@ MeasuredRun AppExperiment<Config>::measure(const solver::Alternative& alt,
                                            obs::Observability* run_obs) const {
   auto world = measurement_world(run_obs);
   try {
-    MeasuredRun run = to_run(core::OperationChoice{}, run_forced(*world, alt));
-    run.choice.alternative = recorded(alt);
+    const AppOp op(app_, request());
+    const solver::Alternative forced = recorded(alt);
+    op.begin_forced(*world, forced);
+    op.execute(*world);
+    MeasuredRun run = to_run(core::OperationChoice{},
+                             world->spectra().end_fidelity_op());
+    run.choice.alternative = forced;
     return run;
   } catch (const util::ContractError&) {
     return MeasuredRun{};  // infeasible under this scenario
@@ -169,10 +173,11 @@ MeasuredRun AppExperiment<Config>::run_spectra(
 
 template <typename Config>
 MeasuredRun AppExperiment<Config>::run_spectra_on(World& world) const {
+  const AppOp op(app_, request());
   // Capture the choice before end_fidelity_op clears it.
-  const auto choice = begin(world);
+  const auto choice = op.begin(world);
   SPECTRA_REQUIRE(choice.ok, "Spectra made no choice");
-  execute(world);
+  op.execute(world);
   return to_run(choice, world.spectra().end_fidelity_op());
 }
 
@@ -183,7 +188,7 @@ template class AppExperiment<PanglossConfig>;
 // ------------------------------------------------------------------ speech
 
 SpeechExperiment::SpeechExperiment(Config config)
-    : AppExperiment(std::move(config), "speech", Testbed::kItsy) {}
+    : AppExperiment(std::move(config), App::kSpeech, Testbed::kItsy) {}
 
 std::vector<solver::Alternative> SpeechExperiment::alternatives() {
   std::vector<solver::Alternative> out;
@@ -213,25 +218,14 @@ void SpeechExperiment::train(World& world) const {
   }
 }
 
-monitor::OperationUsage SpeechExperiment::run_forced(
-    World& world, const solver::Alternative& alt) const {
-  return world.janus().run_forced(world.spectra(), config_.test_utterance_s,
-                                  alt);
-}
-
-core::OperationChoice SpeechExperiment::begin(World& world) const {
-  return world.spectra().begin_fidelity_op(
-      JanusApp::kOperation, {{"utt_len", config_.test_utterance_s}});
-}
-
-void SpeechExperiment::execute(World& world) const {
-  world.janus().execute(world.spectra(), config_.test_utterance_s);
+core::ServiceBeginRequest SpeechExperiment::request() const {
+  return {"", {{"utt_len", config_.test_utterance_s}}, ""};
 }
 
 // ------------------------------------------------------------------- latex
 
 LatexExperiment::LatexExperiment(Config config)
-    : AppExperiment(std::move(config), "latex", Testbed::kThinkpad) {}
+    : AppExperiment(std::move(config), App::kLatex, Testbed::kThinkpad) {}
 
 std::vector<solver::Alternative> LatexExperiment::alternatives() {
   return {LatexApp::alternative(LatexApp::kPlanLocal),
@@ -254,24 +248,14 @@ void LatexExperiment::train(World& world) const {
   }
 }
 
-monitor::OperationUsage LatexExperiment::run_forced(
-    World& world, const solver::Alternative& alt) const {
-  return world.latex().run_forced(world.spectra(), config_.doc, alt);
-}
-
-core::OperationChoice LatexExperiment::begin(World& world) const {
-  return world.spectra().begin_fidelity_op(LatexApp::kOperation, {},
-                                           config_.doc);
-}
-
-void LatexExperiment::execute(World& world) const {
-  world.latex().execute(world.spectra(), config_.doc);
+core::ServiceBeginRequest LatexExperiment::request() const {
+  return {"", {}, config_.doc};
 }
 
 // ---------------------------------------------------------------- pangloss
 
 PanglossExperiment::PanglossExperiment(Config config)
-    : AppExperiment(std::move(config), "pangloss", Testbed::kThinkpad) {}
+    : AppExperiment(std::move(config), App::kPangloss, Testbed::kThinkpad) {}
 
 std::vector<solver::Alternative> PanglossExperiment::alternatives() {
   std::vector<solver::Alternative> out;
@@ -323,19 +307,8 @@ void PanglossExperiment::train(World& world) const {
   }
 }
 
-monitor::OperationUsage PanglossExperiment::run_forced(
-    World& world, const solver::Alternative& alt) const {
-  return world.pangloss().run_forced(world.spectra(), config_.test_words, alt);
-}
-
-core::OperationChoice PanglossExperiment::begin(World& world) const {
-  return world.spectra().begin_fidelity_op(
-      PanglossApp::kOperation,
-      {{"words", static_cast<double>(config_.test_words)}});
-}
-
-void PanglossExperiment::execute(World& world) const {
-  world.pangloss().execute(world.spectra(), config_.test_words);
+core::ServiceBeginRequest PanglossExperiment::request() const {
+  return {"", {{"words", static_cast<double>(config_.test_words)}}, ""};
 }
 
 solver::Alternative PanglossExperiment::recorded(
@@ -424,6 +397,16 @@ rpc::Request null_request() {
   return req;
 }
 
+void train_null_op(World& world, const std::vector<solver::Alternative>& alts,
+                   int runs) {
+  const AppOp op(App::kNullop, {});
+  for (int i = 0; i < runs; ++i) {
+    op.begin_forced(world, alts[static_cast<std::size_t>(i) % alts.size()]);
+    op.execute(world);
+    world.spectra().end_fidelity_op();
+  }
+}
+
 OverheadReport OverheadExperiment::run() const {
   const auto world_ptr = overhead_world(config_.servers, config_.seed,
                                         config_.obs);
@@ -441,23 +424,17 @@ OverheadReport OverheadExperiment::run() const {
   // Train so the measured begin_fidelity_op runs the full decision path.
   // The null operation always executes locally regardless of the chosen
   // plan; only the decision cost is being measured.
-  solver::Alternative local;
-  local.plan = 0;
-  local.fidelity["level"] = 1.0;
-  for (int i = 0; i < 16; ++i) {
-    world.spectra().begin_fidelity_op_forced(kNullOp, {}, "", local);
-    world.spectra().do_local_op(kNullOp, null_request());
-    world.spectra().end_fidelity_op();
-  }
+  train_null_op(world, {{0, -1, {{"level", 1.0}}}}, 16);
 
   // Measured runs.
+  const AppOp op(App::kNullop, {});
   double begin_sum = 0, cache_sum = 0, choose_sum = 0, other_sum = 0;
   double local_sum = 0, end_sum = 0, total_sum = 0, virtual_sum = 0;
   for (int i = 0; i < config_.measured_runs; ++i) {
     const double t0 = wall_ms();
-    const auto choice = world.spectra().begin_fidelity_op(kNullOp, {});
+    const auto choice = op.begin(world);
     const double t1 = wall_ms();
-    world.spectra().do_local_op(kNullOp, null_request());
+    op.execute(world);
     const double t2 = wall_ms();
     world.spectra().end_fidelity_op();
     const double t3 = wall_ms();
@@ -491,8 +468,8 @@ OverheadReport OverheadExperiment::run() const {
   double full_sum = 0;
   const int full_runs = 32;
   for (int i = 0; i < full_runs; ++i) {
-    const auto choice = world.spectra().begin_fidelity_op(kNullOp, {});
-    world.spectra().do_local_op(kNullOp, null_request());
+    const auto choice = op.begin(world);
+    op.execute(world);
     world.spectra().end_fidelity_op();
     full_sum += choice.wall_cache_prediction * 1000.0;
   }

@@ -23,6 +23,7 @@
 #include "core/client.h"
 #include "fault/fault_plan.h"
 #include "obs/obs.h"
+#include "scenario/app_op.h"
 #include "scenario/batch.h"
 #include "scenario/scenarios.h"
 #include "scenario/world.h"
@@ -72,7 +73,8 @@ struct PanglossConfig : ExperimentConfig {
 
 // The lifecycle every app experiment shares: set up and train a world,
 // apply the scenario and settle, then measure from that state. Each app
-// supplies only its training loop, its forced call, and its chosen call.
+// supplies only its training loop and the request its forced and chosen
+// runs go through (the app table, scenario/app_op.h).
 template <typename Config>
 class AppExperiment {
  public:
@@ -95,6 +97,10 @@ class AppExperiment {
   // Spectra chooses and runs the operation once on `world`.
   MeasuredRun run_spectra_on(World& world) const;
 
+  // The trained world measured runs clone; plain configurations share it
+  // process-wide (TrainedWorldCache, keyed app|scenario|seed|shape).
+  std::shared_ptr<const World> template_world() const;
+
   // Fresh trained world under this experiment's scenario (exposed for
   // integration tests and ablations).
   std::unique_ptr<World> trained_world() const {
@@ -110,18 +116,15 @@ class AppExperiment {
   }
 
  protected:
-  // `app` names the template in the trained-world cache.
-  AppExperiment(Config config, const char* app, Testbed testbed)
+  // `app` names the template in the trained-world cache and picks the
+  // operation every run goes through.
+  AppExperiment(Config config, App app, Testbed testbed)
       : config_(std::move(config)), app_(app), testbed_(testbed) {}
 
   virtual void train(World& world) const = 0;
-  // Throws util::ContractError when `alt` is infeasible.
-  virtual monitor::OperationUsage run_forced(
-      World& world, const solver::Alternative& alt) const = 0;
-  // begin_fidelity_op with the app's parameters, then the operation.
-  virtual core::OperationChoice begin(World& world) const = 0;
-  virtual void execute(World& world) const = 0;
-  // The alternative a forced run of `alt` reports.
+  // The input of the measured operation, forced or chosen by Spectra.
+  virtual core::ServiceBeginRequest request() const = 0;
+  // The alternative a forced run of `alt` runs and reports.
   virtual solver::Alternative recorded(const solver::Alternative& alt) const {
     return alt;
   }
@@ -130,9 +133,8 @@ class AppExperiment {
 
  private:
   std::unique_ptr<World> measurement_world(obs::Observability* run_obs) const;
-  std::shared_ptr<const World> template_world() const;
 
-  const char* app_;
+  App app_;
   Testbed testbed_;
   mutable std::once_flag template_once_;
   mutable std::shared_ptr<const World> template_;
@@ -156,10 +158,7 @@ class SpeechExperiment : public AppExperiment<SpeechConfig> {
 
  private:
   void train(World& world) const override;
-  monitor::OperationUsage run_forced(
-      World& world, const solver::Alternative& alt) const override;
-  core::OperationChoice begin(World& world) const override;
-  void execute(World& world) const override;
+  core::ServiceBeginRequest request() const override;
 };
 
 // ------------------------------------------------------------------- latex
@@ -175,10 +174,7 @@ class LatexExperiment : public AppExperiment<LatexConfig> {
 
  private:
   void train(World& world) const override;
-  monitor::OperationUsage run_forced(
-      World& world, const solver::Alternative& alt) const override;
-  core::OperationChoice begin(World& world) const override;
-  void execute(World& world) const override;
+  core::ServiceBeginRequest request() const override;
 };
 
 // ---------------------------------------------------------------- pangloss
@@ -209,10 +205,7 @@ class PanglossExperiment : public AppExperiment<PanglossConfig> {
 
  private:
   void train(World& world) const override;
-  monitor::OperationUsage run_forced(
-      World& world, const solver::Alternative& alt) const override;
-  core::OperationChoice begin(World& world) const override;
-  void execute(World& world) const override;
+  core::ServiceBeginRequest request() const override;
   solver::Alternative recorded(
       const solver::Alternative& alt) const override;
 };
@@ -238,6 +231,10 @@ core::OperationDesc null_op_desc();
 void prepare_null_op(World& world);
 // The request body of one null operation.
 rpc::Request null_request();
+// `runs` forced null operations cycling through `alts`, so the model has
+// seen those placements (the operation itself always runs locally).
+void train_null_op(World& world, const std::vector<solver::Alternative>& alts,
+                   int runs);
 
 // Fig 10: cost of a null operation under 0 / 1 / 5 candidate servers.
 struct OverheadReport {

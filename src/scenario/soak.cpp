@@ -1,11 +1,11 @@
 #include "scenario/soak.h"
 
-#include <cstring>
 #include <sstream>
 
 #include "obs/trace.h"
 #include "scenario/experiment.h"
 #include "util/assert.h"
+#include "util/fnv.h"
 #include "util/rng.h"
 
 namespace spectra::scenario {
@@ -18,21 +18,12 @@ namespace {
 // execution.
 class Fingerprint {
  public:
-  void add_u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= (v >> (8 * i)) & 0xffU;
-      h_ *= 0x100000001b3ULL;
-    }
-  }
-  void add_double(double d) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &d, sizeof(bits));
-    add_u64(bits);
-  }
+  void add_u64(std::uint64_t v) { h_ = util::fnv_mix(h_, v); }
+  void add_double(double d) { h_ = util::fnv_mix(h_, d); }
   void add_string(const std::string& s) {
     for (unsigned char c : s) {
       h_ ^= c;
-      h_ *= 0x100000001b3ULL;
+      h_ *= util::kFnvPrime;
     }
     add_u64(s.size());
   }
@@ -42,43 +33,33 @@ class Fingerprint {
   std::uint64_t h_ = 0xcbf29ce484222325ULL;
 };
 
-// One full Spectra operation (begin / execute / end) with parameters drawn
+// The input of one soak operation, drawn from `rng`.
+core::ServiceBeginRequest draw_request(App app, util::Rng& rng) {
+  if (app == App::kSpeech) {
+    return {"", {{"utt_len", rng.uniform(1.0, 3.0)}}, ""};
+  }
+  if (app == App::kLatex) {
+    return {"", {}, rng.bernoulli(0.5) ? "large" : "small"};
+  }
+  return {"", {{"words", static_cast<double>(rng.uniform_int(4, 30))}}, ""};
+}
+
+// One full Spectra operation (begin / execute / end) with its input drawn
 // from `rng`. A util::ContractError mid-operation — the file server
 // partitioning during a fetch, say — aborts the op; the client's op state
 // is finalized so the next operation starts clean.
-SoakOpOutcome drive_op(World& world, SoakApp app, util::Rng& rng,
+SoakOpOutcome drive_op(World& world, App app, util::Rng& rng,
                        Fingerprint& fp, std::vector<std::string>& violations) {
   core::SpectraClient& client = world.spectra();
   const util::Seconds before = world.engine().now();
   SoakOpOutcome outcome = SoakOpOutcome::kAborted;
   try {
-    core::OperationChoice choice;
-    switch (app) {
-      case SoakApp::kSpeech: {
-        const double len = rng.uniform(1.0, 3.0);
-        choice = client.begin_fidelity_op(apps::JanusApp::kOperation,
-                                          {{"utt_len", len}});
-        if (choice.ok) world.janus().execute(client, len);
-        break;
-      }
-      case SoakApp::kLatex: {
-        const std::string doc = rng.bernoulli(0.5) ? "large" : "small";
-        choice = client.begin_fidelity_op(apps::LatexApp::kOperation, {}, doc);
-        if (choice.ok) world.latex().execute(client, doc);
-        break;
-      }
-      case SoakApp::kPangloss: {
-        const int words = static_cast<int>(rng.uniform_int(4, 30));
-        choice = client.begin_fidelity_op(
-            apps::PanglossApp::kOperation,
-            {{"words", static_cast<double>(words)}});
-        if (choice.ok) world.pangloss().execute(client, words);
-        break;
-      }
-    }
+    const AppOp op(app, draw_request(app, rng));
+    const core::OperationChoice choice = op.begin(world);
     if (!choice.ok) {
       outcome = SoakOpOutcome::kNoChoice;
     } else {
+      op.execute(world);
       const monitor::OperationUsage usage = client.end_fidelity_op();
       outcome = SoakOpOutcome::kCompleted;
       fp.add_double(usage.elapsed);
@@ -169,56 +150,19 @@ SoakPlanResult run_plan(const SoakConfig& config, const World& tmpl,
   return result;
 }
 
-// Trained template world for the soak's application. Keys match the ones
-// the experiments use, so a soak shares cached templates with ordinary
-// scenario runs in the same process.
-std::shared_ptr<const World> soak_template(const SoakConfig& config) {
-  auto& cache = TrainedWorldCache::instance();
-  std::ostringstream key;
-  switch (config.app) {
-    case SoakApp::kSpeech: {
-      SpeechExperiment::Config ec;
-      ec.seed = config.world_seed;
-      SpeechExperiment exp(ec);
-      key << "speech|" << static_cast<int>(ec.scenario) << '|' << ec.seed
-          << '|' << ec.training_runs << '|' << ec.settle_time;
-      return cache.get(key.str(), [&exp] { return exp.trained_world(nullptr); });
-    }
-    case SoakApp::kLatex: {
-      LatexExperiment::Config ec;
-      ec.seed = config.world_seed;
-      LatexExperiment exp(ec);
-      key << "latex|" << static_cast<int>(ec.scenario) << '|' << ec.seed
-          << '|' << ec.training_runs << '|' << ec.settle_time;
-      return cache.get(key.str(), [&exp] { return exp.trained_world(nullptr); });
-    }
-    case SoakApp::kPangloss: {
-      PanglossExperiment::Config ec;
-      ec.seed = config.world_seed;
-      PanglossExperiment exp(ec);
-      key << "pangloss|" << static_cast<int>(ec.scenario) << '|' << ec.seed
-          << '|' << ec.training_runs << '|' << ec.settle_time;
-      return cache.get(key.str(), [&exp] { return exp.trained_world(nullptr); });
-    }
-  }
-  SPECTRA_REQUIRE(false, "unknown soak app");
-  return nullptr;
+// The experiment's trained template for `Experiment` at `seed`.
+template <typename Experiment>
+std::shared_ptr<const World> template_of(std::uint64_t seed) {
+  typename Experiment::Config config;
+  config.seed = seed;
+  return Experiment(config).template_world();
 }
 
 }  // namespace
 
-const char* to_string(SoakApp app) {
-  switch (app) {
-    case SoakApp::kSpeech: return "speech";
-    case SoakApp::kLatex: return "latex";
-    case SoakApp::kPangloss: return "pangloss";
-  }
-  return "?";
-}
-
-fault::ChaosTopology soak_topology(SoakApp app) {
+fault::ChaosTopology soak_topology(App app) {
   fault::ChaosTopology topo;
-  if (app == SoakApp::kSpeech) {
+  if (app == App::kSpeech) {
     // kItsy: client 0, T20 server 1, file server 9.
     topo.links = {{kClient, kServerT20},
                   {kClient, kFileServer},
@@ -332,11 +276,18 @@ SoakReport run_soak(const SoakConfig& config, BatchRunner& runner,
   SPECTRA_REQUIRE(config.plans > 0, "soak needs at least one plan");
   SPECTRA_REQUIRE(config.ops_per_plan > 0,
                   "soak needs at least one op per plan");
+  SPECTRA_REQUIRE(config.app != App::kNullop,
+                  "the soak runs speech, latex or pangloss, not nullop");
   SoakReport report;
   report.config = config;
   // Build (or fetch) the shared template before fanning out so workers
   // clone instead of racing to train.
-  std::shared_ptr<const World> tmpl = soak_template(config);
+  const std::shared_ptr<const World> tmpl =
+      config.app == App::kSpeech
+          ? template_of<SpeechExperiment>(config.world_seed)
+      : config.app == App::kLatex
+          ? template_of<LatexExperiment>(config.world_seed)
+          : template_of<PanglossExperiment>(config.world_seed);
   report.plans = runner.map_runs(
       session, static_cast<std::size_t>(config.plans),
       [&](std::size_t i, obs::Observability* run_obs) {

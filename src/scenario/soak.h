@@ -4,9 +4,10 @@
 //
 // One soak = N plans. For plan i the harness derives a chaos seed from the
 // base seed, generates a fault plan (fault::make_chaos_plan), clones the
-// app's trained template world, arms the plan, and drives ops_per_plan full
-// Spectra operations (begin_fidelity_op / execute / end_fidelity_op) spaced
-// across the chaos horizon. Operations that die to a mid-run contract
+// experiment's trained template world, arms the plan, and drives
+// ops_per_plan full Spectra operations with seeded inputs through the app
+// table, spaced across the chaos horizon (speech, latex or pangloss; not
+// nullop). Operations that die to a mid-run contract
 // violation (e.g. the file server partitions during a cache miss) are
 // recorded as aborted — an expected outcome under chaos, not an invariant
 // violation — and the harness finalizes the client's op state so the next
@@ -30,16 +31,13 @@
 
 #include "fault/chaos.h"
 #include "obs/obs.h"
+#include "scenario/app_op.h"
 #include "scenario/batch.h"
 
 namespace spectra::scenario {
 
-enum class SoakApp { kSpeech, kLatex, kPangloss };
-
-const char* to_string(SoakApp app);
-
 struct SoakConfig {
-  SoakApp app = SoakApp::kLatex;
+  App app = App::kLatex;
   // Number of independent seeded fault plans.
   int plans = 25;
   // Base seed; plan i uses base_seed + i * 7919.
@@ -86,7 +84,7 @@ struct SoakReport {
 };
 
 // Topology chaos may break for `app`'s testbed (links, compute servers).
-fault::ChaosTopology soak_topology(SoakApp app);
+fault::ChaosTopology soak_topology(App app);
 
 // Run the soak, fanning plans across `runner`. `session` (nullable)
 // receives merged per-plan metrics/traces in plan order.

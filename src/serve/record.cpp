@@ -4,7 +4,9 @@
 #include <cctype>
 #include <charconv>
 #include <cstddef>
+#include <fstream>
 #include <map>
+#include <sstream>
 #include <utility>
 
 #include "obs/trace.h"
@@ -192,6 +194,18 @@ class LineScanner {
   std::map<std::string, std::map<std::string, double>> objects_;
 };
 
+}  // namespace
+
+// ---- files ---------------------------------------------------------------
+
+std::string read_file(const std::string& path, const std::string& what) {
+  std::ifstream in(path, std::ios::binary);
+  SPECTRA_REQUIRE(in.good(), "cannot read " + what + ": " + path);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
 std::vector<std::string> split_lines(const std::string& text) {
   std::vector<std::string> lines;
   std::size_t start = 0;
@@ -203,8 +217,6 @@ std::vector<std::string> split_lines(const std::string& text) {
   }
   return lines;
 }
-
-}  // namespace
 
 // ---- lifecycle events ----------------------------------------------------
 

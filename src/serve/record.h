@@ -62,6 +62,15 @@ bool is_lifecycle_event(const std::string& type);
 // file before appending to it.
 std::size_t strip_partial_tail(std::string& text);
 
+// ---- files ---------------------------------------------------------------
+
+// The whole of the file at `path`. Throws util::ContractError
+// "cannot read <what>: <path>" when it cannot be opened.
+std::string read_file(const std::string& path, const std::string& what);
+
+// The non-empty lines of `text`, without their newlines.
+std::vector<std::string> split_lines(const std::string& text);
+
 // ---- canonical form ------------------------------------------------------
 
 // Stable-sorts the record's lines by (sid, operation order) so two records

@@ -1,7 +1,6 @@
 #include "serve/replay.h"
 
-#include <fstream>
-#include <sstream>
+#include <algorithm>
 #include <vector>
 
 #include "serve/client.h"
@@ -11,14 +10,6 @@
 
 namespace spectra::serve {
 namespace {
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  SPECTRA_REQUIRE(in.good(), "cannot read record: " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
 
 std::string replay_in_process(const std::vector<ReplaySession>& sessions,
                               const core::ServiceFactory& factory) {
@@ -65,23 +56,11 @@ std::string replay_over_wire(const std::vector<ReplaySession>& sessions,
   return out;
 }
 
-std::vector<std::string> lines_of(const std::string& text) {
-  std::vector<std::string> lines;
-  std::size_t start = 0;
-  while (start < text.size()) {
-    std::size_t end = text.find('\n', start);
-    if (end == std::string::npos) end = text.size();
-    if (end > start) lines.push_back(text.substr(start, end - start));
-    start = end + 1;
-  }
-  return lines;
-}
-
 }  // namespace
 
 ReplayResult run_replay(const ReplayConfig& config,
                         const core::ServiceFactory& factory) {
-  const std::string expected_raw = read_file(config.record_path);
+  const std::string expected_raw = read_file(config.record_path, "record");
   const std::vector<ReplaySession> sessions = parse_record(expected_raw);
 
   ReplayResult result;
@@ -100,8 +79,8 @@ ReplayResult run_replay(const ReplayConfig& config,
     result.identical = true;
     return result;
   }
-  const std::vector<std::string> exp_lines = lines_of(expected);
-  const std::vector<std::string> act_lines = lines_of(actual);
+  const std::vector<std::string> exp_lines = split_lines(expected);
+  const std::vector<std::string> act_lines = split_lines(actual);
   const std::size_t n = std::max(exp_lines.size(), act_lines.size());
   for (std::size_t i = 0; i < n; ++i) {
     const std::string& e = i < exp_lines.size() ? exp_lines[i] : std::string();

@@ -14,7 +14,6 @@
 #include <cstring>
 #include <deque>
 #include <filesystem>
-#include <fstream>
 #include <list>
 #include <map>
 #include <sstream>
@@ -512,13 +511,7 @@ struct Server::Impl {
   // request sequence), so the reconstructed state — including the cached
   // idempotent replies — is byte-identical to the pre-crash daemon's.
   void replay_wal() {
-    std::ifstream in(config.resume_path, std::ios::binary);
-    SPECTRA_REQUIRE(in.good(),
-                    "cannot open resume log: " + config.resume_path);
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    std::string text = ss.str();
-    in.close();
+    std::string text = read_file(config.resume_path, "resume log");
     // A SIGKILL mid-line leaves a partial tail; parse the intact prefix
     // and cut the file so appended lines glue onto a clean boundary.
     stats.wal_truncated_bytes = strip_partial_tail(text);
@@ -726,6 +719,59 @@ Server::Stats Server::run() {
 }
 
 const Server::Stats& Server::stats() const { return impl_->stats; }
+
+namespace {
+
+// Every Stats counter in the order both exit-time views list it, with the
+// ledger line it goes on (0: JSON only; the shutdown and recovery lines
+// state those in prose).
+struct StatsField {
+  const char* name;
+  std::uint64_t Server::Stats::*value;
+  int ledger_line;
+};
+constexpr StatsField kStatsFields[] = {
+    {"connections", &Server::Stats::connections, 0},
+    {"ops", &Server::Stats::ops, 0},
+    {"sheds", &Server::Stats::sheds, 1},
+    {"idle_timeouts", &Server::Stats::idle_timeouts, 1},
+    {"frame_timeouts", &Server::Stats::frame_timeouts, 1},
+    {"slow_consumer_closes", &Server::Stats::slow_consumer_closes, 1},
+    {"protocol_errors", &Server::Stats::protocol_errors, 1},
+    {"dropped_frames", &Server::Stats::dropped_frames, 1},
+    {"dropped_bytes", &Server::Stats::dropped_bytes, 1},
+    {"parked", &Server::Stats::parked, 2},
+    {"resumed", &Server::Stats::resumed, 2},
+    {"replayed_cached", &Server::Stats::replayed_cached, 2},
+    {"wal_sessions", &Server::Stats::wal_sessions, 2},
+    {"wal_ops", &Server::Stats::wal_ops, 2},
+    {"wal_truncated_bytes", &Server::Stats::wal_truncated_bytes, 0}};
+
+}  // namespace
+
+std::string Server::Stats::to_json() const {
+  std::ostringstream os;
+  for (const StatsField& f : kStatsFields) {
+    os << (&f == kStatsFields ? "{\n" : ",\n") << "  \"" << f.name
+       << "\": " << this->*f.value;
+  }
+  os << "\n}\n";
+  return os.str();
+}
+
+std::string Server::Stats::ledger(const std::string& prefix) const {
+  std::ostringstream os;
+  for (int line = 1; line <= 2; ++line) {
+    const char* sep = prefix.c_str();
+    for (const StatsField& f : kStatsFields) {
+      if (f.ledger_line != line) continue;
+      os << sep << f.name << '=' << this->*f.value;
+      sep = " ";
+    }
+    os << "\n";
+  }
+  return os.str();
+}
 
 void Server::request_stop() {
   impl_->stopping = true;

@@ -110,6 +110,11 @@ class Server {
     std::uint64_t wal_sessions = 0;      // sessions rebuilt from resume_path
     std::uint64_t wal_ops = 0;           // operations replayed from the WAL
     std::uint64_t wal_truncated_bytes = 0;  // partial tail cut from the WAL
+
+    // The exit-time views, rendered from one field list (server.cpp): the
+    // --stats-json object, and the ledger lines, each after `prefix`.
+    std::string to_json() const;
+    std::string ledger(const std::string& prefix) const;
   };
 
   // The poll loop; blocks until shutdown. bind() must have been called.

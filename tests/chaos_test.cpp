@@ -15,7 +15,7 @@ using fault::ChaosTopology;
 using fault::FaultKind;
 using fault::make_chaos_plan;
 
-ChaosTopology thinkpad_topo() { return soak_topology(SoakApp::kLatex); }
+ChaosTopology thinkpad_topo() { return soak_topology(App::kLatex); }
 
 TEST(ChaosPlanTest, SameSeedSamePlan) {
   const auto a = make_chaos_plan(7, thinkpad_topo());
@@ -71,7 +71,7 @@ TEST(ChaosPlanTest, IntensityScalesEventCount) {
 
 // Scaled-down soak shared by the per-app tests: 3 plans, 2 ops each, with
 // the replay check on.
-SoakConfig small_soak(SoakApp app) {
+SoakConfig small_soak(App app) {
   SoakConfig cfg;
   cfg.app = app;
   cfg.plans = 3;
@@ -92,21 +92,21 @@ void expect_clean(const SoakReport& report) {
 
 TEST(ChaosSoakTest, SpeechSoakHoldsInvariants) {
   BatchRunner runner(1);
-  expect_clean(run_soak(small_soak(SoakApp::kSpeech), runner));
+  expect_clean(run_soak(small_soak(App::kSpeech), runner));
 }
 
 TEST(ChaosSoakTest, LatexSoakHoldsInvariants) {
   BatchRunner runner(1);
-  expect_clean(run_soak(small_soak(SoakApp::kLatex), runner));
+  expect_clean(run_soak(small_soak(App::kLatex), runner));
 }
 
 TEST(ChaosSoakTest, PanglossSoakHoldsInvariants) {
   BatchRunner runner(1);
-  expect_clean(run_soak(small_soak(SoakApp::kPangloss), runner));
+  expect_clean(run_soak(small_soak(App::kPangloss), runner));
 }
 
 TEST(ChaosSoakTest, ReportIdenticalForAnyJobs) {
-  SoakConfig cfg = small_soak(SoakApp::kLatex);
+  SoakConfig cfg = small_soak(App::kLatex);
   cfg.plans = 4;
   BatchRunner seq(1);
   BatchRunner par(4);
@@ -116,7 +116,7 @@ TEST(ChaosSoakTest, ReportIdenticalForAnyJobs) {
 }
 
 TEST(ChaosSoakTest, HighIntensitySoakStillClean) {
-  SoakConfig cfg = small_soak(SoakApp::kLatex);
+  SoakConfig cfg = small_soak(App::kLatex);
   cfg.chaos.intensity = 3.0;
   cfg.base_seed = 77;
   BatchRunner runner(2);

@@ -9,7 +9,8 @@
 #   cmake -DEXPECT_FILE=<file> -DACTUAL=<file> -P expect_output.cmake -- <program> [args...]
 #
 # Fails unless the program exits 0 and its stdout, kept in <ACTUAL>, equals
-# <EXPECT_FILE> byte for byte.
+# <EXPECT_FILE> byte for byte. With -DWRITES=ON the program writes <ACTUAL>
+# itself (say through a --json=<ACTUAL> option) and its stdout is dropped.
 set(cmd)
 set(after_dashes FALSE)
 math(EXPR last "${CMAKE_ARGC} - 1")
@@ -25,7 +26,12 @@ if(NOT cmd)
 endif()
 
 if(DEFINED EXPECT_FILE)
-  execute_process(COMMAND ${cmd} RESULT_VARIABLE rc OUTPUT_FILE "${ACTUAL}")
+  if(WRITES)
+    file(REMOVE "${ACTUAL}")
+    execute_process(COMMAND ${cmd} RESULT_VARIABLE rc OUTPUT_QUIET)
+  else()
+    execute_process(COMMAND ${cmd} RESULT_VARIABLE rc OUTPUT_FILE "${ACTUAL}")
+  endif()
   if(NOT "${rc}" STREQUAL "0")
     message(FATAL_ERROR "expected exit status 0, got ${rc}")
   endif()

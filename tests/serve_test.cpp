@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -971,6 +972,87 @@ TEST(ServerTest, WalResumeContinuesRecordByteIdentically) {
       << "crash + --resume diverged from the uninterrupted run";
 }
 
+// A bad session input is refused at begin_op, before anything is begun or
+// written to the WAL: the session stays usable, and --resume of that WAL
+// brings it back.
+TEST(ServerTest, BadSessionInputRefusedBeforeBegin) {
+  const std::string wal = ::testing::TempDir() + "/serve_bad_input.jsonl";
+  std::remove(wal.c_str());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Case {
+    const char* app;
+    std::vector<BeginOpMsg> bad;
+    const char* error;
+  };
+  std::vector<Case> cases(3);
+  cases[0] = {"speech", {}, "utt_len must be finite and > 0"};
+  for (double v : {-1.0, 0.0, nan, inf}) {
+    cases[0].bad.emplace_back();
+    cases[0].bad.back().params = {{"utt_len", v}};
+  }
+  cases[1] = {"pangloss", {}, "words must be in [1, 1000]"};
+  for (double v : {0.0, 0.5, 1001.0, 1e300, -inf, nan}) {
+    cases[1].bad.emplace_back();
+    cases[1].bad.back().params = {{"words", v}};
+  }
+  cases[2] = {"latex", {}, "data tag must be small or large"};
+  cases[2].bad.emplace_back();
+  cases[2].bad.back().data_tag = "medium";
+
+  std::uint64_t speech_sid = 0;
+  {
+    ServeConfig cfg;
+    cfg.record_path = wal;
+    ServerFixture fx(std::move(cfg));
+    for (const Case& c : cases) {
+      BlockingClient client("127.0.0.1", fx.port());
+      const std::uint64_t sid = client.hello("bad-input").session_id;
+      if (speech_sid == 0) speech_sid = sid;
+      client.register_app(c.app, "baseline", 1);
+      for (const BeginOpMsg& bad : c.bad) {
+        try {
+          client.begin_op(bad);
+          ADD_FAILURE() << c.app << " accepted a bad input";
+        } catch (const ProtocolError& e) {
+          EXPECT_NE(std::string(e.what()).find(c.error), std::string::npos)
+              << e.what();
+        }
+      }
+      // The session is still idle: the next begin/end pair is seq 1.
+      ASSERT_TRUE(client.begin_op(BeginOpMsg{}).ok) << c.app;
+      EXPECT_EQ(client.end_op().seq, 1u) << c.app;
+      client.close();
+    }
+    fx.stop();
+  }
+
+  // The WAL holds only the good operation of each session.
+  const std::vector<ReplaySession> recorded = parse_record(read_file(wal));
+  ASSERT_EQ(recorded.size(), cases.size());
+  for (const ReplaySession& sess : recorded) {
+    ASSERT_EQ(sess.ops.size(), 1u) << sess.app;
+    EXPECT_TRUE(sess.ops[0].has_end) << sess.app;
+    EXPECT_TRUE(sess.ops[0].request.params.empty()) << sess.app;
+  }
+
+  ServeConfig cfg;
+  cfg.resume_path = wal;
+  ServerFixture fx(std::move(cfg));
+  BlockingClient client("127.0.0.1", fx.port());
+  client.hello("back");
+  const ResumeOkMsg ok = client.resume(speech_sid);
+  EXPECT_EQ(ok.op, "janus.recognize");
+  EXPECT_EQ(ok.seq_begun, 1u);
+  EXPECT_EQ(ok.seq_completed, 1u);
+  ASSERT_TRUE(client.begin_op(BeginOpMsg{}).ok);
+  EXPECT_EQ(client.end_op().seq, 2u);
+  client.close();
+  const Server::Stats stats = fx.stop();
+  EXPECT_EQ(stats.wal_sessions, cases.size());
+  EXPECT_EQ(stats.wal_ops, cases.size());
+}
+
 // ---- the self-healing client ---------------------------------------------
 
 TEST(ResilientClientTest, SurvivesDaemonKillAndRestart) {
@@ -1150,6 +1232,65 @@ TEST(ReplayGoldenTest, ScriptedSessionMatchesGoldenAndReplaysIdentically) {
       << "\n  actual:   " << result.actual_line;
   EXPECT_EQ(result.sessions, 1u);
   EXPECT_EQ(result.ops, 3u);
+}
+
+// The three paper apps as daemon sessions, each with a non-default input
+// and then the defaults, locked against serve_apps_record.jsonl.golden.
+TEST(ReplayGoldenTest, AppSessionsMatchGoldenAndReplayIdentically) {
+  const std::string golden =
+      std::string(SPECTRA_GOLDEN_DIR) + "/serve_apps_record.jsonl.golden";
+  const std::string record_path =
+      ::testing::TempDir() + "/serve_apps_record.jsonl";
+  std::remove(record_path.c_str());
+
+  struct AppSession {
+    const char* app;
+    const char* scenario;
+    BeginOpMsg input;
+  };
+  BeginOpMsg utt, doc, words;
+  utt.params = {{"utt_len", 1.5}};
+  doc.data_tag = "large";
+  words.params = {{"words", 25.0}};
+  const AppSession sessions[] = {{"speech", "network", utt},
+                                 {"latex", "energy", doc},
+                                 {"pangloss", "cpu", words}};
+  {
+    ServeConfig cfg;
+    cfg.record_path = record_path;
+    ServerFixture fx(std::move(cfg));
+    for (const AppSession& s : sessions) {
+      BlockingClient client("127.0.0.1", fx.port());
+      client.hello("apps-golden");
+      client.register_app(s.app, s.scenario, 5);
+      for (const BeginOpMsg& begin : {s.input, BeginOpMsg{}}) {
+        ASSERT_TRUE(client.begin_op(begin).ok) << s.app;
+        ASSERT_TRUE(client.end_op().ok) << s.app;
+      }
+      client.close();
+    }
+    fx.stop();
+  }
+
+  const std::string recorded = canonicalize_record(read_file(record_path));
+  ASSERT_FALSE(recorded.empty());
+  if (update_mode()) {
+    std::ofstream out(golden, std::ios::binary | std::ios::trunc);
+    out << recorded;
+    ASSERT_TRUE(out.good());
+  }
+  EXPECT_EQ(recorded, read_file(golden)) << "app record diverged from golden";
+
+  ReplayConfig rc;
+  rc.record_path = golden;
+  const ReplayResult result =
+      run_replay(rc, scenario::app_service_factory());
+  EXPECT_TRUE(result.identical)
+      << "first divergence at canonical line " << result.mismatch_line
+      << "\n  expected: " << result.expected_line
+      << "\n  actual:   " << result.actual_line;
+  EXPECT_EQ(result.sessions, 3u);
+  EXPECT_EQ(result.ops, 6u);
 }
 
 }  // namespace
