@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI check: tier-1 verify (full build + ctest, see ROADMAP.md) followed by
-# an ASan smoke pass — a sanitized build of the observability suite plus a
-# `spectra scenarios` smoke run, catching memory bugs in the trace/metrics
+# an ASan smoke pass — a sanitized build of the observability suite and
+# the serve session core's tests plus a `spectra scenarios` smoke run, catching memory bugs in the trace/metrics
 # hot paths that the plain build would miss — and a TSan smoke of the batch
 # runner: the exec suite (thread pool, concurrent logging, metrics merge,
 # batch determinism), the island-executor suite, and multi-worker CLI runs
@@ -249,12 +249,17 @@ PYEOF
 echo "== sanitize smoke (address) =="
 # obs_test covers the trace/metrics hot paths; fleet_test drives the
 # admission queue, load board, and the parallel fleet tick pipeline (its
-# determinism suites run --jobs=8 worlds) under ASan.
+# determinism suites run --jobs=8 worlds) under ASan. The serve session
+# core's cases, the differential crash test among them, hand session and
+# connection pointers between the core and its callers, so they run here
+# too.
 SMOKE="$BUILD-asan"
 cmake -B "$SMOKE" -S . -DSPECTRA_SANITIZE=address >/dev/null
-cmake --build "$SMOKE" -j "$(nproc)" --target obs_test fleet_test spectra
+cmake --build "$SMOKE" -j "$(nproc)" --target obs_test fleet_test spectra \
+    serve_test
 "$SMOKE/tests/obs_test"
 "$SMOKE/tests/fleet_test"
+"$SMOKE/tests/serve_test" --gtest_filter='SessionCoreTest.*'
 "$SMOKE/src/cli/spectra" scenarios >/dev/null
 # 10k-client multi-island fleet under ASan: the SoA client store, the
 # per-island tick arenas, and the admission cookie/metadata slot reuse at

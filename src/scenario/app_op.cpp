@@ -1,6 +1,5 @@
 #include "scenario/app_op.h"
 
-#include <cmath>
 #include <iterator>
 #include <utility>
 
@@ -52,9 +51,10 @@ AppOp::AppOp(App app, const core::ServiceBeginRequest& request) : app_(app) {
       break;
     case App::kSpeech:
       utt_len_ = param_or(request, "utt_len", 2.0);
-      SPECTRA_REQUIRE(std::isfinite(utt_len_) && utt_len_ > 0.0,
-                      "speech utt_len must be finite and > 0, got: " +
-                          obs::format_double(utt_len_));
+      SPECTRA_REQUIRE(utt_len_ > 0.0 && utt_len_ <= kMaxUtteranceSeconds,
+                      "speech utt_len must be in (0, " +
+                          obs::format_double(kMaxUtteranceSeconds) +
+                          "], got: " + obs::format_double(utt_len_));
       params_ = {{"utt_len", utt_len_}};
       break;
     case App::kLatex:

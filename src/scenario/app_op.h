@@ -4,7 +4,7 @@
 //
 //   app       operation           input              range          default
 //   nullop    null.op             params, as given   —              —
-//   speech    janus.recognize     params "utt_len"   finite, > 0    2.0 s
+//   speech    janus.recognize     params "utt_len"   (0, 60] s      2.0 s
 //   latex     latex.run           data tag           small | large  small
 //   pangloss  pangloss.translate  params "words"     [1, 1000]      10
 //
@@ -35,6 +35,16 @@ const char* operation_name(App app);
 
 // The most words a Pangloss sentence may have (also `--words`' cap).
 constexpr int kMaxPanglossWords = 1000;
+
+// The longest utterance Janus may recognize, in seconds. Remote
+// recognition costs (30 + 120 + 500) Mcycles per second of speech at full
+// vocabulary (apps/janus.h); on the speech testbed's 700 MHz server that
+// is 0.93 s per second of speech, so past about 64 s no remote or hybrid
+// attempt can finish within the client's 60 s RPC timeout (core/client.h)
+// and every plan but local is gone. The cap is that, rounded down. It also
+// bounds the simulated work one end_op can ask for, which grows linearly
+// with the utterance.
+constexpr double kMaxUtteranceSeconds = 60.0;
 
 // One operation of `app` with its input checked and defaults filled in.
 class AppOp {

@@ -30,6 +30,19 @@ rpc::ErrorKind classify_connect_errno(int err) {
   }
 }
 
+// `reply`, which must be of type `expect`; kError becomes a ServerError.
+Frame expect_reply(Frame reply, MsgType expect) {
+  if (reply.type == MsgType::kError) {
+    const ErrorMsg e = decode_error(reply.payload);
+    throw ServerError(e.code, e.message);
+  }
+  if (reply.type != expect) {
+    throw ProtocolError(std::string("expected ") + to_token(expect) +
+                        ", daemon sent " + to_token(reply.type));
+  }
+  return reply;
+}
+
 }  // namespace
 
 BlockingClient::BlockingClient(const std::string& host, std::uint16_t port) {
@@ -115,16 +128,7 @@ Frame BlockingClient::read_frame() {
 
 Frame BlockingClient::call(const std::string& frame_bytes, MsgType expect) {
   send_raw(frame_bytes);
-  const Frame reply = read_frame();
-  if (reply.type == MsgType::kError) {
-    const ErrorMsg e = decode_error(reply.payload);
-    throw ServerError(e.code, e.message);
-  }
-  if (reply.type != expect) {
-    throw ProtocolError(std::string("expected ") + to_token(expect) +
-                        ", daemon sent " + to_token(reply.type));
-  }
-  return reply;
+  return expect_reply(read_frame(), expect);
 }
 
 HelloOkMsg BlockingClient::hello(const std::string& client_name) {
@@ -197,10 +201,9 @@ auto ResilientClient::with_retry(Fn&& fn) -> decltype(fn()) {
       client_.reset();
       if (attempt >= config_.retry.max_attempts) throw;
     } catch (const ServerError& e) {
-      if (e.code() == ErrorCode::kProtocol) {
+      if (e.code() == ErrorCode::kProtocol ||
+          e.code() == ErrorCode::kShuttingDown) {
         // The daemon is about to drop this connection.
-        client_.reset();
-      } else if (e.code() == ErrorCode::kShuttingDown) {
         client_.reset();
       } else if (!retryable(e.code())) {
         throw;
@@ -265,6 +268,15 @@ RegisterOkMsg ResilientClient::register_app(const std::string& app,
   });
 }
 
+Frame ResilientClient::exchange(const std::string& bytes, MsgType expect) {
+  if (send_hook_) {
+    send_hook_(*client_, bytes);
+  } else {
+    client_->send_raw(bytes);
+  }
+  return expect_reply(client_->read_frame(), expect);
+}
+
 core::ServiceDecision ResilientClient::begin_op(BeginOpMsg msg) {
   SPECTRA_REQUIRE(registered_ || !app_.empty(),
                   "begin_op before register_app");
@@ -274,21 +286,7 @@ core::ServiceDecision ResilientClient::begin_op(BeginOpMsg msg) {
   msg.seq = seq;
   return with_retry([&] {
     ensure_session();
-    const std::string bytes = encode_begin_op(msg);
-    if (send_hook_) {
-      send_hook_(*client_, bytes);
-    } else {
-      client_->send_raw(bytes);
-    }
-    const Frame reply = client_->read_frame();
-    if (reply.type == MsgType::kError) {
-      const ErrorMsg e = decode_error(reply.payload);
-      throw ServerError(e.code, e.message);
-    }
-    if (reply.type != MsgType::kBeginOk) {
-      throw ProtocolError(std::string("expected begin_ok, daemon sent ") +
-                          to_token(reply.type));
-    }
+    const Frame reply = exchange(encode_begin_op(msg), MsgType::kBeginOk);
     seq_begun_ = seq;
     return decode_begin_ok(reply.payload);
   });
@@ -299,30 +297,9 @@ core::ServiceOpResult ResilientClient::end_op() {
   const std::uint64_t seq = seq_begun_;
   return with_retry([&] {
     ensure_session();
-    const std::string bytes = encode_end_op(seq);
-    if (send_hook_) {
-      send_hook_(*client_, bytes);
-    } else {
-      client_->send_raw(bytes);
-    }
-    const Frame reply = client_->read_frame();
-    if (reply.type == MsgType::kError) {
-      const ErrorMsg e = decode_error(reply.payload);
-      throw ServerError(e.code, e.message);
-    }
-    if (reply.type != MsgType::kEndOk) {
-      throw ProtocolError(std::string("expected end_ok, daemon sent ") +
-                          to_token(reply.type));
-    }
+    const Frame reply = exchange(encode_end_op(seq), MsgType::kEndOk);
     seq_completed_ = seq;
     return decode_end_ok(reply.payload);
-  });
-}
-
-StatusOkMsg ResilientClient::status() {
-  return with_retry([&] {
-    ensure_session();
-    return client_->status();
   });
 }
 

@@ -9,9 +9,9 @@
 //     reset, EOF mid-reply). Carries the rpc::ErrorKind classification;
 //     derives from util::ContractError for compatibility with callers
 //     that treat any client failure as fatal.
-//   * ServerError — the daemon answered kError. Carries the wire
-//     ErrorCode so callers can tell retryable refusals (overload,
-//     shutdown) from fatal ones; derives from ProtocolError.
+//   * ServerError (serve/protocol.h) — the daemon answered kError.
+//     Carries the wire ErrorCode so callers can tell retryable refusals
+//     (overload, shutdown) from fatal ones; derives from ProtocolError.
 //
 // ResilientClient wraps BlockingClient with reconnect + capped
 // exponential backoff (seeded jitter) and idempotent re-issue keyed by
@@ -46,17 +46,6 @@ class TransportError : public util::ContractError {
 
  private:
   rpc::ErrorKind kind_;
-};
-
-// The daemon answered kError with `code`.
-class ServerError : public ProtocolError {
- public:
-  ServerError(ErrorCode code, const std::string& what)
-      : ProtocolError(what), code_(code) {}
-  ErrorCode code() const { return code_; }
-
- private:
-  ErrorCode code_;
 };
 
 class BlockingClient {
@@ -134,9 +123,7 @@ class ResilientClient {
                              const std::string& scenario, std::uint64_t seed);
   core::ServiceDecision begin_op(BeginOpMsg msg);
   core::ServiceOpResult end_op();
-  StatusOkMsg status();
 
-  std::uint64_t session_id() const { return sid_; }
   const ResilientStats& stats() const { return stats_; }
 
   // Injected before each frame send by loadgen --chaos (null = none).
@@ -149,6 +136,8 @@ class ResilientClient {
  private:
   // Connect + hello + (resume | re-register) until the session is live.
   void ensure_session();
+  // Send through the hook, then read a reply of type `expect`.
+  Frame exchange(const std::string& bytes, MsgType expect);
   void backoff(int attempt);
   template <typename Fn>
   auto with_retry(Fn&& fn) -> decltype(fn());

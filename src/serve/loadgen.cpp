@@ -106,22 +106,25 @@ LoadgenStats run_loadgen(const LoadgenConfig& config) {
   threads.reserve(config.clients);
   for (std::size_t i = 0; i < config.clients; ++i) {
     threads.emplace_back([&, i] {
+      // One session's closed loop, on either kind of client.
+      auto run_ops = [&](auto& client) {
+        client.register_app(config.app, config.scenario, config.seed);
+        for (std::size_t k = 0; k < config.ops_per_client; ++k) {
+          const auto start = Clock::now();
+          client.begin_op(BeginOpMsg{});
+          client.end_op();
+          const auto end = Clock::now();
+          latencies[i].push_back(
+              std::chrono::duration<double, std::milli>(end - start).count());
+          ops.fetch_add(1, std::memory_order_relaxed);
+        }
+      };
       try {
         latencies[i].reserve(config.ops_per_client);
         if (!resilient) {
           BlockingClient client(config.host, config.port);
           client.hello("loadgen-" + std::to_string(i));
-          client.register_app(config.app, config.scenario, config.seed);
-          for (std::size_t k = 0; k < config.ops_per_client; ++k) {
-            const auto start = Clock::now();
-            client.begin_op(BeginOpMsg{});
-            client.end_op();
-            const auto end = Clock::now();
-            latencies[i].push_back(
-                std::chrono::duration<double, std::milli>(end - start)
-                    .count());
-            ops.fetch_add(1, std::memory_order_relaxed);
-          }
+          run_ops(client);
           return;
         }
         ResilientConfig rc;
@@ -144,16 +147,7 @@ LoadgenStats run_loadgen(const LoadgenConfig& config) {
                 chaos_send(c, bytes, a);
               });
         }
-        client.register_app(config.app, config.scenario, config.seed);
-        for (std::size_t k = 0; k < config.ops_per_client; ++k) {
-          const auto start = Clock::now();
-          client.begin_op(BeginOpMsg{});
-          client.end_op();
-          const auto end = Clock::now();
-          latencies[i].push_back(
-              std::chrono::duration<double, std::milli>(end - start).count());
-          ops.fetch_add(1, std::memory_order_relaxed);
-        }
+        run_ops(client);
         recovery[i] = client.stats();
         client.close();
       } catch (const std::exception& e) {

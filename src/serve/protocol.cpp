@@ -1,96 +1,74 @@
 #include "serve/protocol.h"
 
 #include <bit>
+#include <cstdio>
 #include <cstring>
+#include <utility>
 
 namespace spectra::serve {
 
+namespace {
+
+// Every message type with its token.
+constexpr std::pair<MsgType, const char*> kTypes[] = {
+    {MsgType::kHello, "hello"},
+    {MsgType::kRegisterApp, "register_app"},
+    {MsgType::kBeginOp, "begin_op"},
+    {MsgType::kEndOp, "end_op"},
+    {MsgType::kStatus, "status"},
+    {MsgType::kShutdown, "shutdown"},
+    {MsgType::kResume, "resume"},
+    {MsgType::kHelloOk, "hello_ok"},
+    {MsgType::kRegisterOk, "register_ok"},
+    {MsgType::kBeginOk, "begin_ok"},
+    {MsgType::kEndOk, "end_ok"},
+    {MsgType::kStatusOk, "status_ok"},
+    {MsgType::kShutdownOk, "shutdown_ok"},
+    {MsgType::kResumeOk, "resume_ok"},
+    {MsgType::kError, "error"},
+};
+
+// Every error code with its token and whether it is retryable.
+struct CodeInfo {
+  ErrorCode code;
+  const char* token;
+  bool retryable;
+};
+constexpr CodeInfo kCodes[] = {
+    {ErrorCode::kGeneric, "generic", false},
+    {ErrorCode::kProtocol, "protocol", false},
+    {ErrorCode::kOverloaded, "overloaded", true},
+    {ErrorCode::kShuttingDown, "shutting_down", true},
+    {ErrorCode::kUnknownSession, "unknown_session", false},
+    {ErrorCode::kBadSeq, "bad_seq", false},
+};
+
+}  // namespace
+
 const char* to_token(MsgType type) {
-  switch (type) {
-    case MsgType::kHello:
-      return "hello";
-    case MsgType::kRegisterApp:
-      return "register_app";
-    case MsgType::kBeginOp:
-      return "begin_op";
-    case MsgType::kEndOp:
-      return "end_op";
-    case MsgType::kStatus:
-      return "status";
-    case MsgType::kShutdown:
-      return "shutdown";
-    case MsgType::kResume:
-      return "resume";
-    case MsgType::kHelloOk:
-      return "hello_ok";
-    case MsgType::kRegisterOk:
-      return "register_ok";
-    case MsgType::kBeginOk:
-      return "begin_ok";
-    case MsgType::kEndOk:
-      return "end_ok";
-    case MsgType::kStatusOk:
-      return "status_ok";
-    case MsgType::kShutdownOk:
-      return "shutdown_ok";
-    case MsgType::kResumeOk:
-      return "resume_ok";
-    case MsgType::kError:
-      return "error";
+  for (const auto& [t, token] : kTypes) {
+    if (t == type) return token;
   }
   return "unknown";
 }
 
+bool is_known_type(std::uint8_t type) {
+  for (const auto& [t, token] : kTypes) {
+    if (static_cast<std::uint8_t>(t) == type) return true;
+  }
+  return false;
+}
+
 const char* to_token(ErrorCode code) {
-  switch (code) {
-    case ErrorCode::kGeneric:
-      return "generic";
-    case ErrorCode::kProtocol:
-      return "protocol";
-    case ErrorCode::kOverloaded:
-      return "overloaded";
-    case ErrorCode::kShuttingDown:
-      return "shutting_down";
-    case ErrorCode::kUnknownSession:
-      return "unknown_session";
-    case ErrorCode::kBadSeq:
-      return "bad_seq";
+  for (const CodeInfo& c : kCodes) {
+    if (c.code == code) return c.token;
   }
   return "unknown";
 }
 
 bool retryable(ErrorCode code) {
-  switch (code) {
-    case ErrorCode::kOverloaded:
-    case ErrorCode::kShuttingDown:
-      return true;
-    case ErrorCode::kGeneric:
-    case ErrorCode::kProtocol:
-    case ErrorCode::kUnknownSession:
-    case ErrorCode::kBadSeq:
-      return false;
-  }
-  return false;
-}
-
-bool is_known_type(std::uint8_t type) {
-  switch (static_cast<MsgType>(type)) {
-    case MsgType::kHello:
-    case MsgType::kRegisterApp:
-    case MsgType::kBeginOp:
-    case MsgType::kEndOp:
-    case MsgType::kStatus:
-    case MsgType::kShutdown:
-    case MsgType::kResume:
-    case MsgType::kHelloOk:
-    case MsgType::kRegisterOk:
-    case MsgType::kBeginOk:
-    case MsgType::kEndOk:
-    case MsgType::kStatusOk:
-    case MsgType::kShutdownOk:
-    case MsgType::kResumeOk:
-    case MsgType::kError:
-      return true;
+  for (const CodeInfo& c : kCodes) {
+    if (c.code == code) return c.retryable;
   }
   return false;
 }
@@ -141,13 +119,9 @@ void FrameReader::check_header() {
   }
   const auto type = static_cast<std::uint8_t>(buffer_[4]);
   if (!is_known_type(type)) {
-    throw ProtocolError("unknown message type 0x" + [type] {
-      const char* hex = "0123456789abcdef";
-      std::string s;
-      s.push_back(hex[(type >> 4) & 0xF]);
-      s.push_back(hex[type & 0xF]);
-      return s;
-    }());
+    char hex[3];
+    std::snprintf(hex, sizeof(hex), "%02x", type);
+    throw ProtocolError(std::string("unknown message type 0x") + hex);
   }
 }
 

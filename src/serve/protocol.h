@@ -93,13 +93,14 @@ const char* to_token(ErrorCode code);
 // True when backing off and re-issuing the identical request may succeed.
 bool retryable(ErrorCode code);
 
-// Server-side: thrown by dispatch to answer with a coded in-band error
-// while keeping the connection usable (unlike ProtocolError, which drops
-// the connection after the error reply).
-class ServeError : public std::runtime_error {
+// A kError answer with `code`. The session core throws it to answer a
+// request in-band, keeping the connection usable (unlike a bare
+// ProtocolError, which drops the connection after the error reply);
+// clients throw it when the daemon answered kError.
+class ServerError : public ProtocolError {
  public:
-  ServeError(ErrorCode code, const std::string& what)
-      : std::runtime_error(what), code_(code) {}
+  ServerError(ErrorCode code, const std::string& what)
+      : ProtocolError(what), code_(code) {}
   ErrorCode code() const { return code_; }
 
  private:

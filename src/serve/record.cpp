@@ -1,6 +1,5 @@
 #include "serve/record.h"
 
-#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cstddef>
@@ -19,7 +18,8 @@ namespace {
 //
 // Record lines are produced by obs::TraceEvent, so the grammar is a flat
 // object of string / number / bool values plus one-level-deep objects of
-// numbers. The scanner accepts exactly that.
+// numbers, with the escapes TraceEvent writes. The scanner accepts
+// exactly that.
 
 class LineScanner {
  public:
@@ -100,7 +100,6 @@ class LineScanner {
         switch (c) {
           case '"':
           case '\\':
-          case '/':
             out.push_back(c);
             break;
           case 'n':
@@ -111,12 +110,6 @@ class LineScanner {
             break;
           case 'r':
             out.push_back('\r');
-            break;
-          case 'b':
-            out.push_back('\b');
-            break;
-          case 'f':
-            out.push_back('\f');
             break;
           case 'u': {
             // TraceEvent only emits \u00XX for control bytes.
@@ -283,43 +276,19 @@ std::string render_end_line(std::uint64_t sid, std::uint64_t seq,
 // ---- canonical form ------------------------------------------------------
 
 std::string canonicalize_record(const std::string& text) {
-  struct Keyed {
-    std::uint64_t sid;
-    std::uint64_t order;
-    const std::string* line;
-  };
   const std::vector<std::string> lines = split_lines(text);
-  std::vector<Keyed> keyed;
-  keyed.reserve(lines.size());
-  std::size_t lineno = 0;
-  for (const std::string& line : lines) {
-    ++lineno;
-    LineScanner s(line, lineno);
-    const std::string& type = s.str("type");
-    if (is_lifecycle_event(type)) continue;
-    Keyed k{s.uint("sid"), 0, &line};
-    if (type == "serve.session") {
-      k.order = 0;
-    } else if (type == "serve.begin") {
-      k.order = 2 * s.uint("seq") - 1;
-    } else if (type == "serve.end") {
-      k.order = 2 * s.uint("seq");
-    } else {
-      SPECTRA_REQUIRE(false, "record line " + std::to_string(lineno) +
-                                 ": unknown event type " + type);
-    }
-    keyed.push_back(k);
-  }
-  std::stable_sort(keyed.begin(), keyed.end(),
-                   [](const Keyed& a, const Keyed& b) {
-                     if (a.sid != b.sid) return a.sid < b.sid;
-                     return a.order < b.order;
-                   });
   std::string out;
   out.reserve(text.size());
-  for (const Keyed& k : keyed) {
-    out.append(*k.line);
+  auto put = [&](std::size_t lineno) {
+    out.append(lines[lineno - 1]);
     out.push_back('\n');
+  };
+  for (const ReplaySession& sess : parse_record(text)) {
+    put(sess.line);
+    for (const ReplayOp& op : sess.ops) {
+      put(op.begin_line);
+      if (op.has_end) put(op.end_line);
+    }
   }
   return out;
 }
@@ -342,6 +311,7 @@ std::vector<ReplaySession> parse_record(const std::string& text) {
                       where + "duplicate session " + std::to_string(sid));
       ReplaySession& sess = sessions[sid];
       sess.sid = sid;
+      sess.line = lineno;
       sess.app = s.str("app");
       sess.scenario = s.str("scenario");
       sess.seed = s.uint("seed");
@@ -356,6 +326,7 @@ std::vector<ReplaySession> parse_record(const std::string& text) {
                       where + "out-of-order seq " + std::to_string(seq));
       ReplayOp op;
       op.seq = seq;
+      op.begin_line = lineno;
       op.request.op = s.str("op");
       op.request.data_tag = s.str("data");
       op.request.params = s.object("params");
@@ -371,6 +342,8 @@ std::vector<ReplaySession> parse_record(const std::string& text) {
                       where + "end without matching begin, seq " +
                           std::to_string(seq));
       sess.ops.back().has_end = true;
+      sess.ops.back().end_line = lineno;
+      sess.ops.back().end_ok = s.num("ok") != 0.0;
     } else {
       SPECTRA_REQUIRE(false, where + "unknown event type " + type);
     }

@@ -7,7 +7,7 @@
 // lines in socket-arrival order.
 //
 // Arrival order interleaves concurrent sessions non-deterministically, so
-// equality is defined on the *canonical* form: lines stable-sorted by
+// equality is defined on the *canonical* form: lines ordered by
 // (session id, operation sequence), which is a total order because each
 // session runs one operation at a time. canonicalize_record() produces it;
 // replay compares canonical bytes. A single-session record is already
@@ -73,18 +73,22 @@ std::vector<std::string> split_lines(const std::string& text);
 
 // ---- canonical form ------------------------------------------------------
 
-// Stable-sorts the record's lines by (sid, operation order) so two records
-// of the same logical session set compare byte-for-byte regardless of how
+// The record's lines ordered by (sid, operation order), so two records of
+// the same logical session set compare byte-for-byte regardless of how
 // socket arrivals interleaved. Lifecycle lines are skipped. Throws
-// util::ContractError on lines that do not parse as record events.
+// util::ContractError where parse_record does.
 std::string canonicalize_record(const std::string& text);
 
 // ---- parsing (the replay read path) --------------------------------------
 
+// Line numbers count the record's non-empty lines from 1.
 struct ReplayOp {
   std::uint64_t seq = 0;
   core::ServiceBeginRequest request;
   bool has_end = false;  // a crash can truncate the final end line
+  bool end_ok = true;    // the end line's "ok": false when end_op threw
+  std::size_t begin_line = 0;
+  std::size_t end_line = 0;
 };
 
 struct ReplaySession {
@@ -94,6 +98,7 @@ struct ReplaySession {
   std::uint64_t seed = 1;
   std::string op;
   std::vector<ReplayOp> ops;  // ordered by seq
+  std::size_t line = 0;       // the serve.session line
 };
 
 // Parses a record into its sessions (ordered by sid). Lifecycle lines are

@@ -1,9 +1,12 @@
 #include "serve/replay.h"
 
 #include <algorithm>
+#include <sstream>
 #include <vector>
 
+#include "obs/trace.h"
 #include "serve/client.h"
+#include "serve/core.h"
 #include "serve/protocol.h"
 #include "serve/record.h"
 #include "util/assert.h"
@@ -11,23 +14,18 @@
 namespace spectra::serve {
 namespace {
 
+// Each session through its own SessionCore, so its service is freed as
+// soon as it has replayed.
 std::string replay_in_process(const std::vector<ReplaySession>& sessions,
                               const core::ServiceFactory& factory) {
-  std::string out;
+  std::ostringstream out;
+  obs::TraceSink sink(out);
   for (const ReplaySession& sess : sessions) {
-    auto svc = factory(sess.app, sess.scenario, sess.seed);
-    const core::ServiceStatus st = svc->status();
-    out += render_session_line(sess.sid, st.virtual_now, st) + "\n";
-    for (const ReplayOp& op : sess.ops) {
-      const core::ServiceDecision d = svc->begin_op(op.request);
-      out += render_begin_line(sess.sid, op.seq, op.request, d) + "\n";
-      if (op.has_end) {
-        const core::ServiceOpResult r = svc->end_op();
-        out += render_end_line(sess.sid, r.seq, r) + "\n";
-      }
-    }
+    SessionCore core(ServeConfig{}, factory);
+    core.set_sink(&sink);
+    core.restore(sess);
   }
-  return out;
+  return out.str();
 }
 
 std::string replay_over_wire(const std::vector<ReplaySession>& sessions,
@@ -41,11 +39,8 @@ std::string replay_over_wire(const std::vector<ReplaySession>& sessions,
     out += render_session_line(sess.sid, st.session.virtual_now, st.session) +
            "\n";
     for (const ReplayOp& op : sess.ops) {
-      BeginOpMsg msg;
-      msg.op = op.request.op;
-      msg.data_tag = op.request.data_tag;
-      msg.params = op.request.params;
-      const core::ServiceDecision d = client.begin_op(msg);
+      const core::ServiceDecision d = client.begin_op(
+          BeginOpMsg{op.request.op, op.request.data_tag, op.request.params});
       out += render_begin_line(sess.sid, op.seq, op.request, d) + "\n";
       if (op.has_end) {
         const core::ServiceOpResult r = client.end_op();
@@ -81,17 +76,11 @@ ReplayResult run_replay(const ReplayConfig& config,
   }
   const std::vector<std::string> exp_lines = split_lines(expected);
   const std::vector<std::string> act_lines = split_lines(actual);
-  const std::size_t n = std::max(exp_lines.size(), act_lines.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::string& e = i < exp_lines.size() ? exp_lines[i] : std::string();
-    const std::string& a = i < act_lines.size() ? act_lines[i] : std::string();
-    if (e != a) {
-      result.mismatch_line = i + 1;
-      result.expected_line = e;
-      result.actual_line = a;
-      break;
-    }
-  }
+  const auto [e, a] = std::mismatch(exp_lines.begin(), exp_lines.end(),
+                                    act_lines.begin(), act_lines.end());
+  result.mismatch_line = static_cast<std::size_t>(e - exp_lines.begin()) + 1;
+  if (e != exp_lines.end()) result.expected_line = *e;
+  if (a != act_lines.end()) result.actual_line = *a;
   return result;
 }
 

@@ -8,9 +8,9 @@
 // divergence is a determinism regression in the decision path.
 //
 // Two execution modes:
-//   * in-process (port < 0): requests drive DecisionService sessions built
-//     by the supplied factory directly — no sockets, used by the golden
-//     test and the default CLI path;
+//   * in-process (port < 0): requests run through a SessionCore over
+//     sessions built by the supplied factory (the path --resume takes) —
+//     no sockets, used by the golden test and the default CLI path;
 //   * against a live daemon (port >= 0): requests go over the wire; the
 //     replies carry enough (virtual times, decisions, results) to render
 //     identical lines client-side. Session ids are taken from the record,
@@ -40,7 +40,8 @@ struct ReplayResult {
   std::string actual_line;
 };
 
-// Throws util::ContractError on unreadable or malformed records.
+// Throws util::ContractError on unreadable or malformed records, and in
+// process when an end's outcome (ok or failed) does not reproduce.
 // `factory` is only used for in-process replay.
 ReplayResult run_replay(const ReplayConfig& config,
                         const core::ServiceFactory& factory);

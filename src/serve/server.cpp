@@ -12,14 +12,14 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
-#include <deque>
 #include <filesystem>
 #include <list>
-#include <map>
+#include <optional>
 #include <sstream>
 #include <vector>
 
 #include "obs/trace.h"
+#include "serve/core.h"
 #include "serve/outbuf.h"
 #include "serve/protocol.h"
 #include "serve/record.h"
@@ -38,35 +38,17 @@ void set_nonblocking(int fd) {
                       std::string(std::strerror(errno)));
 }
 
-// One registered session, decoupled from any particular connection so it
-// can be parked across disconnects and resumed. The cached wire replies
-// make begin/end idempotent on their seq key: a re-issued request whose
-// reply was lost is answered from the cache without re-executing (and
-// without re-recording), so a retrying client can never double-run an op.
-struct SessionState {
-  std::uint64_t sid = 0;
-  std::unique_ptr<core::DecisionService> session;
-  std::uint64_t seq_begun = 0;
-  std::uint64_t seq_completed = 0;
-  std::string begin_reply;  // encoded kBeginOk for seq_begun
-  std::string end_reply;    // encoded kEndOk for seq_completed
-};
-
-// One client connection's state machine.
+// One client connection's transport state, and what the core keeps for it
+// (left unopened, sid 0, for a connection shed at accept).
 struct Connection {
   int fd = -1;
-  std::uint64_t sid = 0;
-  bool greeted = false;
+  SessionCore::Conn conn;
   bool closing = false;  // close once outbuf drains
   FrameReader reader;
   OutBuffer out;
-  std::unique_ptr<SessionState> state;
-  Clock::time_point last_activity;      // last byte moved either direction
-  Clock::time_point partial_since;      // when the pending half-frame began
-  bool partial_pending = false;
-
-  void enqueue(std::string bytes) { out.enqueue(std::move(bytes)); }
-  bool drained() const { return out.drained(); }
+  Clock::time_point last_activity;  // last byte moved either direction
+  // When the pending half-frame began; empty while no frame is partial.
+  std::optional<Clock::time_point> partial_since;
 };
 
 // Accepts past max_connections get an in-band kOverloaded refusal; only a
@@ -77,18 +59,16 @@ constexpr std::size_t kShedHeadroom = 64;
 
 struct Server::Impl {
   ServeConfig config;
-  core::ServiceFactory factory;
+  SessionCore core;
   int listen_fd = -1;
   int wake_read = -1;   // request_stop() self-pipe
   int wake_write = -1;
   std::list<Connection> connections;
-  // Sessions whose connection died, keyed by sid, resumable via kResume.
-  std::map<std::uint64_t, SessionState> parked;
-  std::deque<std::uint64_t> park_order;  // FIFO eviction past max_parked
   std::unique_ptr<obs::TraceSink> record;
-  Stats stats;
   std::atomic<bool> stopping{false};  // request_stop() writes cross-thread
-  std::uint64_t next_sid = 0;
+
+  Impl(ServeConfig c, core::ServiceFactory factory)
+      : config(std::move(c)), core(config, std::move(factory)) {}
 
   ~Impl() {
     for (Connection& c : connections) {
@@ -99,55 +79,7 @@ struct Server::Impl {
     if (wake_write >= 0) ::close(wake_write);
   }
 
-  // Write one line to the record and flush it: the record doubles as a
-  // write-ahead log, so a line must be durable in the kernel before the
-  // reply that acknowledges it can reach the client.
-  void record_line(const std::string& line) {
-    if (!record) return;
-    record->write_raw(line + "\n");
-    record->flush();
-  }
-
-  void record_lifecycle(const obs::TraceEvent& event) {
-    if (!record) return;
-    record->write_raw(event.to_json() + "\n");
-    record->flush();
-  }
-
-  std::size_t live_sessions() const {
-    std::size_t n = 0;
-    for (const Connection& c : connections) {
-      if (c.state) ++n;
-    }
-    return n;
-  }
-
-  // Move a dying connection's session into the parked map so a later
-  // kResume can re-attach it. Bounded: the oldest parked session is
-  // evicted past max_parked (its history stays in the WAL, so a daemon
-  // restarted with --resume can still reconstruct it).
-  void park_session(Connection& c) {
-    if (!c.state) return;
-    if (config.max_parked == 0) {
-      c.state.reset();
-      return;
-    }
-    const std::uint64_t sid = c.state->sid;
-    parked.insert_or_assign(sid, std::move(*c.state));
-    c.state.reset();
-    park_order.push_back(sid);
-    ++stats.parked;
-    while (parked.size() > config.max_parked && !park_order.empty()) {
-      const std::uint64_t victim = park_order.front();
-      park_order.pop_front();
-      auto it = parked.find(victim);
-      if (it == parked.end()) continue;  // already resumed
-      parked.erase(it);
-      record_lifecycle(obs::TraceEvent("serve.close", 0.0)
-                           .field("sid", static_cast<std::size_t>(victim))
-                           .field("reason", "park_evicted"));
-    }
-  }
+  Stats& stats() { return core.stats(); }
 
   // Count undelivered replies before the socket closes under this
   // connection; shutdown-drain and forced closes both go through here so
@@ -156,199 +88,28 @@ struct Server::Impl {
     const std::size_t frames = c.out.pending_frames();
     if (frames == 0) return;
     const std::size_t bytes = c.out.pending_bytes();
-    stats.dropped_frames += frames;
-    stats.dropped_bytes += bytes;
-    record_lifecycle(obs::TraceEvent("serve.drop", 0.0)
-                         .field("sid", static_cast<std::size_t>(c.sid))
-                         .field("frames", frames)
-                         .field("bytes", bytes));
+    stats().dropped_frames += frames;
+    stats().dropped_bytes += bytes;
+    core.record(obs::TraceEvent("serve.drop", 0.0)
+                    .field("sid", static_cast<std::size_t>(c.conn.sid))
+                    .field("frames", frames)
+                    .field("bytes", bytes)
+                    .to_json());
   }
 
-  // Close and erase one connection, parking its session.
+  // Close and erase one connection; the core parks its session.
   std::list<Connection>::iterator destroy(
       std::list<Connection>::iterator it) {
-    Connection& c = *it;
-    account_drops(c);
-    park_session(c);
-    ::close(c.fd);
+    account_drops(*it);
+    core.close(it->conn);
+    ::close(it->fd);
     return connections.erase(it);
-  }
-
-  void shed(Connection& c, const char* scope, const std::string& detail) {
-    ++stats.sheds;
-    record_lifecycle(obs::TraceEvent("serve.shed", 0.0)
-                         .field("sid", static_cast<std::size_t>(c.sid))
-                         .field("scope", scope));
-    throw ServeError(ErrorCode::kOverloaded, detail);
-  }
-
-  // Dispatch one complete frame; replies are queued on the connection.
-  // ProtocolError → error reply and connection teardown; ServeError →
-  // coded error reply, connection stays usable; ContractError and other
-  // std::exception → generic error reply, connection stays usable.
-  void dispatch(Connection& c, const Frame& frame) {
-    switch (frame.type) {
-      case MsgType::kHello: {
-        const HelloMsg m = decode_hello(frame.payload);
-        if (m.version != kProtocolVersion) {
-          throw ProtocolError("protocol version mismatch: daemon speaks " +
-                              std::to_string(kProtocolVersion) + ", client " +
-                              std::to_string(m.version));
-        }
-        c.greeted = true;
-        HelloOkMsg ok;
-        ok.session_id = c.sid;
-        c.enqueue(encode_hello_ok(ok));
-        return;
-      }
-      case MsgType::kRegisterApp: {
-        const RegisterAppMsg m = decode_register_app(frame.payload);
-        SPECTRA_REQUIRE(c.greeted, "register_app before hello");
-        SPECTRA_REQUIRE(!c.state, "session already registered");
-        if (live_sessions() >= config.max_sessions) {
-          shed(c, "sessions",
-               "session limit reached (" +
-                   std::to_string(config.max_sessions) + "); retry later");
-        }
-        auto st = std::make_unique<SessionState>();
-        st->sid = c.sid;
-        st->session = factory(m.app, m.scenario, m.seed);
-        const core::ServiceStatus status = st->session->status();
-        record_line(render_session_line(c.sid, status.virtual_now, status));
-        c.state = std::move(st);
-        RegisterOkMsg ok;
-        ok.op = status.op;
-        c.enqueue(encode_register_ok(ok));
-        return;
-      }
-      case MsgType::kResume: {
-        const ResumeMsg m = decode_resume(frame.payload);
-        SPECTRA_REQUIRE(c.greeted, "resume before hello");
-        SPECTRA_REQUIRE(!c.state, "session already registered");
-        auto it = parked.find(m.session_id);
-        if (it != parked.end()) {
-          c.state = std::make_unique<SessionState>(std::move(it->second));
-          parked.erase(it);
-        } else {
-          // The previous connection may still look alive to us (the
-          // client saw a failure we have not noticed yet). Steal the
-          // session; the zombie connection drains and closes.
-          for (Connection& other : connections) {
-            if (&other != &c && other.state &&
-                other.state->sid == m.session_id) {
-              c.state = std::move(other.state);
-              other.closing = true;
-              break;
-            }
-          }
-        }
-        if (!c.state) {
-          throw ServeError(ErrorCode::kUnknownSession,
-                           "no session " + std::to_string(m.session_id) +
-                               " to resume");
-        }
-        c.sid = c.state->sid;
-        ++stats.resumed;
-        record_lifecycle(obs::TraceEvent("serve.resume", 0.0)
-                             .field("sid", static_cast<std::size_t>(c.sid))
-                             .field("seq_begun",
-                                    static_cast<std::size_t>(
-                                        c.state->seq_begun))
-                             .field("seq_completed",
-                                    static_cast<std::size_t>(
-                                        c.state->seq_completed)));
-        ResumeOkMsg ok;
-        ok.op = c.state->session->status().op;
-        ok.seq_begun = c.state->seq_begun;
-        ok.seq_completed = c.state->seq_completed;
-        c.enqueue(encode_resume_ok(ok));
-        return;
-      }
-      case MsgType::kBeginOp: {
-        const BeginOpMsg m = decode_begin_op(frame.payload);
-        SPECTRA_REQUIRE(c.state, "begin_op before register_app");
-        SessionState& st = *c.state;
-        const std::uint64_t seq = m.seq == 0 ? st.seq_begun + 1 : m.seq;
-        if (seq == st.seq_begun && seq > 0) {
-          // Idempotent re-issue of the op we already began: answer from
-          // the cache, do not re-execute or re-record.
-          ++stats.replayed_cached;
-          c.enqueue(st.begin_reply);
-          return;
-        }
-        if (seq != st.seq_begun + 1) {
-          throw ServeError(ErrorCode::kBadSeq,
-                           "begin seq " + std::to_string(seq) +
-                               " is neither cached (" +
-                               std::to_string(st.seq_begun) + ") nor next (" +
-                               std::to_string(st.seq_begun + 1) + ")");
-        }
-        core::ServiceBeginRequest req;
-        req.op = m.op;
-        req.data_tag = m.data_tag;
-        req.params = m.params;
-        const core::ServiceDecision d = st.session->begin_op(req);
-        st.seq_begun = seq;
-        // Record the request with the operation name resolved, so replay
-        // renders the identical line from its own register_ok.
-        core::ServiceBeginRequest recorded = req;
-        if (recorded.op.empty()) recorded.op = st.session->status().op;
-        record_line(render_begin_line(c.sid, st.seq_begun, recorded, d));
-        st.begin_reply = encode_begin_ok(d);
-        c.enqueue(st.begin_reply);
-        return;
-      }
-      case MsgType::kEndOp: {
-        const std::uint64_t requested = decode_end_op(frame.payload);
-        SPECTRA_REQUIRE(c.state, "end_op before register_app");
-        SessionState& st = *c.state;
-        const std::uint64_t seq = requested == 0 ? st.seq_begun : requested;
-        if (seq == st.seq_completed && seq > 0) {
-          ++stats.replayed_cached;
-          c.enqueue(st.end_reply);
-          return;
-        }
-        if (seq != st.seq_completed + 1) {
-          throw ServeError(ErrorCode::kBadSeq,
-                           "end seq " + std::to_string(seq) +
-                               " is neither cached (" +
-                               std::to_string(st.seq_completed) +
-                               ") nor next (" +
-                               std::to_string(st.seq_completed + 1) + ")");
-        }
-        const core::ServiceOpResult r = st.session->end_op();
-        st.seq_completed = r.seq;
-        record_line(render_end_line(c.sid, r.seq, r));
-        ++stats.ops;
-        st.end_reply = encode_end_ok(r);
-        c.enqueue(st.end_reply);
-        return;
-      }
-      case MsgType::kStatus: {
-        decode_empty(frame.payload, frame.type);
-        StatusOkMsg ok;
-        if (c.state) ok.session = c.state->session->status();
-        ok.sessions_active = live_sessions();
-        ok.ops_served = stats.ops;
-        c.enqueue(encode_status_ok(ok));
-        return;
-      }
-      case MsgType::kShutdown: {
-        decode_empty(frame.payload, frame.type);
-        stats.shutdown_frame = true;
-        stopping = true;
-        c.enqueue(encode_shutdown_ok());
-        return;
-      }
-      default:
-        // Response types arriving at the server are a protocol violation.
-        throw ProtocolError(std::string("unexpected message: ") +
-                            to_token(frame.type));
-    }
   }
 
   // Returns false when the connection should be torn down immediately.
   bool on_readable(Connection& c) {
+    // Only a hangup wakes a shed connection; it has nothing to dispatch to.
+    if (c.conn.sid == 0) return false;
     char buf[65536];
     std::size_t cap = sizeof(buf);
     if (config.max_read_chunk > 0 && config.max_read_chunk < cap) {
@@ -363,45 +124,39 @@ struct Server::Impl {
     try {
       c.reader.feed(std::string_view(buf, static_cast<std::size_t>(n)));
       while (auto frame = c.reader.next()) {
-        try {
-          dispatch(c, *frame);
-        } catch (const ProtocolError& e) {
-          ++stats.protocol_errors;
-          c.enqueue(encode_error(ErrorMsg{ErrorCode::kProtocol, e.what()}));
-          c.closing = true;
-          break;
-        } catch (const ServeError& e) {
-          c.enqueue(encode_error(ErrorMsg{e.code(), e.what()}));
-        } catch (const std::exception& e) {
-          c.enqueue(encode_error(ErrorMsg{ErrorCode::kGeneric, e.what()}));
+        if (SessionCore::Conn* taken = core.on_frame(c.conn, *frame, c.out)) {
+          // That connection drains what it has queued, then closes.
+          for (Connection& other : connections) {
+            if (&other.conn == taken) other.closing = true;
+          }
         }
+        if (stats().shutdown_frame) stopping = true;
         if (c.closing || stopping) break;
       }
     } catch (const ProtocolError& e) {
-      // Malformed framing: the byte stream is unrecoverable.
-      ++stats.protocol_errors;
-      c.enqueue(encode_error(ErrorMsg{ErrorCode::kProtocol, e.what()}));
+      // Malformed framing or a protocol violation in a frame: the byte
+      // stream is unrecoverable.
+      ++stats().protocol_errors;
+      c.out.enqueue(encode_error(ErrorMsg{ErrorCode::kProtocol, e.what()}));
       c.closing = true;
     }
     // Half-frame deadline bookkeeping: remember when the oldest byte of
     // an incomplete frame arrived.
-    if (c.reader.pending_bytes() > 0) {
-      if (!c.partial_pending) {
-        c.partial_pending = true;
-        c.partial_since = c.last_activity;
-      }
-    } else {
-      c.partial_pending = false;
+    if (c.reader.pending_bytes() == 0) {
+      c.partial_since.reset();
+    } else if (!c.partial_since) {
+      c.partial_since = c.last_activity;
     }
     // A consumer that lets replies pile past the cap is disconnected:
     // unread replies are its own loss, unbounded memory would be ours.
     if (config.max_outbuf_bytes > 0 &&
         c.out.pending_bytes() > config.max_outbuf_bytes) {
-      ++stats.slow_consumer_closes;
-      record_lifecycle(obs::TraceEvent("serve.close", 0.0)
-                           .field("sid", static_cast<std::size_t>(c.sid))
-                           .field("reason", "slow_consumer")
-                           .field("bytes", c.out.pending_bytes()));
+      ++stats().slow_consumer_closes;
+      core.record(obs::TraceEvent("serve.close", 0.0)
+                      .field("sid", static_cast<std::size_t>(c.conn.sid))
+                      .field("reason", "slow_consumer")
+                      .field("bytes", c.out.pending_bytes())
+                      .to_json());
       return false;
     }
     return true;
@@ -432,39 +187,33 @@ struct Server::Impl {
     for (;;) {
       const int fd = ::accept(listen_fd, nullptr, nullptr);
       if (fd < 0) return;  // EAGAIN, or transient accept failure
-      if (connections.size() >= config.max_connections) {
-        if (connections.size() >= config.max_connections + kShedHeadroom) {
-          // Far past the limit: drop without the courtesy error so a
-          // flood cannot make us allocate per-victim state.
-          ::close(fd);
-          continue;
-        }
-        // Shed with an in-band retryable refusal instead of a silent
-        // close, so well-behaved clients back off instead of guessing.
-        set_nonblocking(fd);
-        Connection c;
-        c.fd = fd;
-        c.closing = true;
-        c.last_activity = Clock::now();
-        c.enqueue(encode_error(
-            ErrorMsg{ErrorCode::kOverloaded,
-                     "connection limit reached (" +
-                         std::to_string(config.max_connections) +
-                         "); retry later"}));
-        ++stats.sheds;
-        record_lifecycle(obs::TraceEvent("serve.shed", 0.0)
-                             .field("sid", std::size_t{0})
-                             .field("scope", "connections"));
-        connections.push_back(std::move(c));
+      if (connections.size() >= config.max_connections + kShedHeadroom) {
+        // Far past the limit: drop without the courtesy error so a flood
+        // cannot make us allocate per-victim state.
+        ::close(fd);
         continue;
       }
       set_nonblocking(fd);
-      Connection c;
+      Connection& c = connections.emplace_back();
       c.fd = fd;
-      c.sid = ++next_sid;
       c.last_activity = Clock::now();
-      connections.push_back(std::move(c));
-      ++stats.connections;
+      if (connections.size() <= config.max_connections) {
+        core.open(c.conn);
+        continue;
+      }
+      // Shed with an in-band retryable refusal instead of a silent close,
+      // so well-behaved clients back off instead of guessing.
+      c.closing = true;
+      c.out.enqueue(encode_error(
+          ErrorMsg{ErrorCode::kOverloaded,
+                   "connection limit reached (" +
+                       std::to_string(config.max_connections) +
+                       "); retry later"}));
+      ++stats().sheds;
+      core.record(obs::TraceEvent("serve.shed", 0.0)
+                      .field("sid", std::size_t{0})
+                      .field("scope", "connections")
+                      .to_json());
     }
   }
 
@@ -479,25 +228,20 @@ struct Server::Impl {
       const double idle_s =
           std::chrono::duration<double>(now - c.last_activity).count();
       const double partial_s =
-          c.partial_pending
-              ? std::chrono::duration<double>(now - c.partial_since).count()
+          c.partial_since
+              ? std::chrono::duration<double>(now - *c.partial_since).count()
               : 0.0;
-      if (config.frame_timeout_s > 0.0 &&
-          partial_s > config.frame_timeout_s) {
-        ++stats.frame_timeouts;
-        record_lifecycle(obs::TraceEvent("serve.timeout", 0.0)
-                             .field("sid", static_cast<std::size_t>(c.sid))
-                             .field("kind", "frame")
-                             .field("stalled_s", partial_s));
-        it = destroy(it);
-        continue;
-      }
-      if (config.idle_timeout_s > 0.0 && idle_s > config.idle_timeout_s) {
-        ++stats.idle_timeouts;
-        record_lifecycle(obs::TraceEvent("serve.timeout", 0.0)
-                             .field("sid", static_cast<std::size_t>(c.sid))
-                             .field("kind", "idle")
-                             .field("idle_s", idle_s));
+      const bool stalled =
+          config.frame_timeout_s > 0.0 && partial_s > config.frame_timeout_s;
+      if (stalled ||
+          (config.idle_timeout_s > 0.0 && idle_s > config.idle_timeout_s)) {
+        ++(stalled ? stats().frame_timeouts : stats().idle_timeouts);
+        core.record(obs::TraceEvent("serve.timeout", 0.0)
+                        .field("sid", static_cast<std::size_t>(c.conn.sid))
+                        .field("kind", stalled ? "frame" : "idle")
+                        .field(stalled ? "stalled_s" : "idle_s",
+                               stalled ? partial_s : idle_s)
+                        .to_json());
         it = destroy(it);
         continue;
       }
@@ -506,45 +250,21 @@ struct Server::Impl {
   }
 
   // Rebuild every session recorded in the write-ahead log as a parked
-  // session, replaying its (sid, seq) history through a fresh
-  // DecisionService. Sessions are pure functions of (app, scenario, seed,
-  // request sequence), so the reconstructed state — including the cached
-  // idempotent replies — is byte-identical to the pre-crash daemon's.
+  // session, through the core's own begin/end path.
   void replay_wal() {
     std::string text = read_file(config.resume_path, "resume log");
     // A SIGKILL mid-line leaves a partial tail; parse the intact prefix
     // and cut the file so appended lines glue onto a clean boundary.
-    stats.wal_truncated_bytes = strip_partial_tail(text);
-    if (stats.wal_truncated_bytes > 0) {
+    stats().wal_truncated_bytes = strip_partial_tail(text);
+    if (stats().wal_truncated_bytes > 0) {
       std::filesystem::resize_file(config.resume_path, text.size());
     }
-    for (ReplaySession& sess : parse_record(text)) {
-      SessionState st;
-      st.sid = sess.sid;
-      st.session = factory(sess.app, sess.scenario, sess.seed);
-      for (const ReplayOp& op : sess.ops) {
-        const core::ServiceDecision d = st.session->begin_op(op.request);
-        st.seq_begun = op.seq;
-        st.begin_reply = encode_begin_ok(d);
-        ++stats.wal_ops;
-        if (op.has_end) {
-          const core::ServiceOpResult r = st.session->end_op();
-          st.seq_completed = r.seq;
-          st.end_reply = encode_end_ok(r);
-        }
-      }
-      if (sess.sid > next_sid) next_sid = sess.sid;
-      park_order.push_back(sess.sid);
-      parked.insert_or_assign(sess.sid, std::move(st));
-      ++stats.wal_sessions;
-    }
+    for (const ReplaySession& sess : parse_record(text)) core.restore(sess);
   }
 };
 
 Server::Server(ServeConfig config, core::ServiceFactory factory)
-    : impl_(std::make_unique<Impl>()) {
-  impl_->config = std::move(config);
-  impl_->factory = std::move(factory);
+    : impl_(std::make_unique<Impl>(std::move(config), std::move(factory))) {
   int pipefd[2];
   SPECTRA_REQUIRE(::pipe(pipefd) == 0, "pipe() failed: " +
                                            std::string(std::strerror(errno)));
@@ -590,14 +310,17 @@ std::uint16_t Server::bind() {
     // path truncates as before.
     const bool append = s.config.record_path == s.config.resume_path;
     s.record = obs::TraceSink::open(s.config.record_path, append);
+    s.core.set_sink(s.record.get());
   }
   if (!s.config.resume_path.empty()) {
-    s.record_lifecycle(
+    const Stats& st = s.stats();
+    s.core.record(
         obs::TraceEvent("serve.recovered", 0.0)
-            .field("sessions", static_cast<std::size_t>(s.stats.wal_sessions))
-            .field("ops", static_cast<std::size_t>(s.stats.wal_ops))
+            .field("sessions", static_cast<std::size_t>(st.wal_sessions))
+            .field("ops", static_cast<std::size_t>(st.wal_ops))
             .field("truncated_bytes",
-                   static_cast<std::size_t>(s.stats.wal_truncated_bytes)));
+                   static_cast<std::size_t>(st.wal_truncated_bytes))
+            .to_json());
   }
   return ntohs(addr.sin_port);
 }
@@ -616,7 +339,7 @@ Server::Stats Server::run() {
     if (s.stopping) {
       bool pending = false;
       for (const Connection& c : s.connections) {
-        if (!c.drained()) pending = true;
+        if (!c.out.drained()) pending = true;
       }
       if (!pending || ++drain_rounds > kMaxDrainRounds) break;
     } else {
@@ -627,7 +350,7 @@ Server::Stats Server::run() {
     // was marked with nothing pending, e.g. its session was stolen by a
     // resume) would otherwise poll no events and linger forever.
     for (auto it = s.connections.begin(); it != s.connections.end();) {
-      if (it->closing && it->drained()) {
+      if (it->closing && it->out.drained()) {
         it = s.destroy(it);
       } else {
         ++it;
@@ -655,7 +378,7 @@ Server::Stats Server::run() {
     for (const Connection& c : s.connections) {
       short events = 0;
       if (!s.stopping && !c.closing) events |= POLLIN;
-      if (!c.drained()) events |= POLLOUT;
+      if (!c.out.drained()) events |= POLLOUT;
       fds.push_back({c.fd, events, 0});
     }
 
@@ -698,7 +421,7 @@ Server::Stats Server::run() {
       if (alive && (rev & POLLOUT)) alive = s.on_writable(c);
       // A connection whose entire reply fit the socket buffer at enqueue
       // time never polls POLLOUT; try an eager flush instead of waiting.
-      if (alive && !c.drained() && !(rev & POLLOUT)) {
+      if (alive && !c.out.drained() && !(rev & POLLOUT)) {
         alive = s.on_writable(c);
       }
       if (!alive) {
@@ -714,11 +437,12 @@ Server::Stats Server::run() {
   }
   ::close(s.listen_fd);
   s.listen_fd = -1;
+  s.core.set_sink(nullptr);
   s.record.reset();  // flush the operation-trace record
-  return s.stats;
+  return s.stats();
 }
 
-const Server::Stats& Server::stats() const { return impl_->stats; }
+const Server::Stats& Server::stats() const { return impl_->core.stats(); }
 
 namespace {
 

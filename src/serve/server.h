@@ -1,31 +1,25 @@
-// The spectra serve daemon: a single-threaded, non-blocking socket server.
+// The spectra serve daemon's I/O shell: a single-threaded, non-blocking
+// socket server around the session state machine in serve/core.h.
 //
 // One poll() loop multiplexes the listening socket, every client
 // connection, and the process shutdown pipe (util::shutdown_fd). Each
-// connection owns a small state machine: a FrameReader accumulating
-// partial reads, an OutBuffer drained on POLLOUT (partial writes resume
-// where they left off), and at most one DecisionService session created
-// by register_app. No thread is ever blocked on a slow client.
+// connection owns a FrameReader accumulating partial reads and an
+// OutBuffer drained on POLLOUT (partial writes resume where they left
+// off). Complete frames go to the SessionCore, which queues the replies
+// and holds every session; no thread is ever blocked on a slow client.
 //
-// The daemon protects itself from misbehaving peers:
+// The shell protects the daemon from misbehaving peers:
 //   * idle deadline — a connection that sends nothing for idle_timeout_s
 //     is closed (a stalled reader cannot hold a slot forever);
 //   * half-frame deadline — a frame whose header arrived but whose bytes
 //     stall for frame_timeout_s is treated as a slowloris and closed;
 //   * bounded outbuf — a consumer whose undelivered replies exceed
 //     max_outbuf_bytes is disconnected instead of ballooning memory;
-//   * overload shedding — sessions beyond max_sessions and connections
-//     beyond max_connections are refused with a retryable in-band
-//     kOverloaded error rather than silently dropped.
+//   * connection shedding — connections beyond max_connections are
+//     refused with a retryable in-band kOverloaded error rather than
+//     silently dropped (sessions beyond max_sessions: see serve/core.h).
 // Every shed, timeout, and forced close increments Stats and, when a
 // record log is open, appends a lifecycle trace line.
-//
-// Sessions survive their connections: when a connection dies, its session
-// is parked (bounded by max_parked) and a later connection can re-attach
-// with kResume, continuing at the same (sid, seq). Begin/end requests are
-// idempotent on their seq key — a re-issued request whose reply was lost
-// is answered from the per-session reply cache without re-executing —
-// which is what makes client-side retry safe.
 //
 // Shutdown is cooperative and responsive from three directions:
 //   * a kShutdown frame from any client (acknowledged, then drained),
@@ -36,15 +30,10 @@
 // normal unwind. Replies still undelivered when the drain window closes
 // are counted into Stats (dropped_frames/dropped_bytes) and recorded.
 //
-// When `record_path` is set, every session registration, decision, and
-// operation result is appended as a deterministic JSONL line in
-// socket-arrival order (see serve/record.h for the canonical form) and
-// flushed line-by-line, making the record a write-ahead log: a daemon
-// killed outright can be restarted with `resume_path` pointing at the
-// same file, which replays every session's (sid, seq) history through
-// its DecisionService before accepting traffic — byte-identical to a run
-// that never crashed, because sessions are pure functions of
-// (app, scenario, seed, request sequence).
+// When `record_path` is set, the shell opens it as the core's write-ahead
+// log (serve/record.h has the line format). A daemon killed outright can
+// be restarted with `resume_path` pointing at the same file: the core
+// replays every recorded session before the shell accepts traffic.
 #pragma once
 
 #include <cstdint>

@@ -6,7 +6,10 @@
 // real poll loop on a background thread against BlockingClient sessions:
 // partial reads/writes (via the byte-capped test hooks), 64-way concurrent
 // clients, abrupt disconnects, in-band errors, and all three shutdown
-// paths. The golden test records a scripted session and locks its
+// paths. The session-core tests drive serve::SessionCore with no sockets
+// over a fake DecisionService: shedding, parking and resume, the reply
+// cache, and a differential crash test that rebuilds a core from another
+// one's WAL text. The golden test records a scripted session and locks its
 // canonical bytes against tests/golden/serve_record.jsonl.golden, then
 // replays the golden and asserts byte-identical decisions.
 //
@@ -20,6 +23,9 @@
 #include <cstdlib>
 #include <fstream>
 #include <limits>
+#include <map>
+#include <memory>
+#include <stdexcept>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -27,7 +33,9 @@
 
 #include "fault/wire_chaos.h"
 #include "scenario/app_service.h"
+#include "obs/trace.h"
 #include "serve/client.h"
+#include "serve/core.h"
 #include "serve/loadgen.h"
 #include "serve/outbuf.h"
 #include "serve/protocol.h"
@@ -280,9 +288,10 @@ TEST(RecordTest, MalformedLineRejected) {
 
 class ServerFixture {
  public:
-  explicit ServerFixture(ServeConfig config = {}) {
-    server_ = std::make_unique<Server>(std::move(config),
-                                       scenario::app_service_factory());
+  explicit ServerFixture(
+      ServeConfig config = {},
+      core::ServiceFactory factory = scenario::app_service_factory()) {
+    server_ = std::make_unique<Server>(std::move(config), std::move(factory));
     port_ = server_->bind();
     thread_ = std::thread([this] { stats_ = server_->run(); });
   }
@@ -683,45 +692,6 @@ TEST(RecordTest, StripPartialTailCutsAtLastNewline) {
 
 // ---- server: self-protection ---------------------------------------------
 
-TEST(ServerTest, SessionOverloadShedsWithRetryableError) {
-  ServeConfig cfg;
-  cfg.max_sessions = 1;
-  ServerFixture fx(std::move(cfg));
-
-  BlockingClient first("127.0.0.1", fx.port());
-  first.hello("first");
-  ASSERT_EQ(first.register_app("nullop", "baseline", 1).op, "null.op");
-
-  BlockingClient second("127.0.0.1", fx.port());
-  second.hello("second");
-  try {
-    second.register_app("nullop", "baseline", 1);
-    FAIL() << "expected an overload refusal";
-  } catch (const ServerError& e) {
-    EXPECT_EQ(e.code(), ErrorCode::kOverloaded);
-    EXPECT_TRUE(retryable(e.code()));
-  }
-  // The refusal is in-band: the connection is still usable...
-  EXPECT_EQ(second.status().sessions_active, 1u);
-  // ...and capacity freed by the first client can be claimed.
-  first.close();
-  // The server notices the close asynchronously; retry briefly.
-  for (int i = 0; i < 100; ++i) {
-    try {
-      ASSERT_EQ(second.register_app("nullop", "baseline", 1).op, "null.op");
-      break;
-    } catch (const ServerError& e) {
-      ASSERT_EQ(e.code(), ErrorCode::kOverloaded);
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-  }
-  EXPECT_TRUE(second.begin_op(BeginOpMsg{}).ok);
-  EXPECT_TRUE(second.end_op().ok);
-  second.close();
-  const Server::Stats stats = fx.stop();
-  EXPECT_GE(stats.sheds, 1u);
-}
-
 TEST(ServerTest, ConnectionOverloadShedsWithErrorThenClose) {
   ServeConfig cfg;
   cfg.max_connections = 1;
@@ -801,100 +771,454 @@ TEST(ServerTest, SlowConsumerDisconnectedWhenOutbufOverflows) {
   EXPECT_GT(stats.dropped_bytes, 0u);
 }
 
-// ---- server: session parking, resume, idempotent re-issue ----------------
+// ---- the session core, without sockets -----------------------------------
 
-TEST(ServerTest, SessionSurvivesDisconnectAndResumes) {
-  ServerFixture fx;
-  std::uint64_t sid = 0;
-  {
-    BlockingClient client("127.0.0.1", fx.port());
-    sid = client.hello("disconnector").session_id;
-    client.register_app("nullop", "baseline", 5);
-    ASSERT_TRUE(client.begin_op(BeginOpMsg{}).ok);
-    ASSERT_TRUE(client.end_op().ok);
-    client.close();
+// A DecisionService with no simulator: decisions and results are a pure
+// function of (scenario, seed, request sequence), as the daemon requires.
+// end_op throws for an op whose begin carried param "fail", and for the
+// first op of a "fail-first" session; like the simulator-backed service,
+// it leaves the session idle when it throws.
+class FakeService : public core::DecisionService {
+ public:
+  FakeService(std::string scenario, std::uint64_t seed)
+      : scenario_(std::move(scenario)), seed_(seed) {}
+
+  core::ServiceStatus status() const override {
+    core::ServiceStatus st;
+    st.app = "fake";
+    st.scenario = scenario_;
+    st.seed = seed_;
+    st.op = "fake.op";
+    st.ops_begun = begun_;
+    st.ops_completed = completed_;
+    st.op_in_progress = pending_;
+    st.virtual_now = now_;
+    return st;
   }
-  // Give the poll loop a moment to notice the close and park the session.
-  BlockingClient back("127.0.0.1", fx.port());
-  back.hello("back");
-  ResumeOkMsg ok;
-  for (int i = 0; i < 100; ++i) {
-    try {
-      ok = back.resume(sid);
-      break;
-    } catch (const ServerError& e) {
-      ASSERT_EQ(e.code(), ErrorCode::kUnknownSession);
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+
+  core::ServiceDecision begin_op(
+      const core::ServiceBeginRequest& request) override {
+    SPECTRA_REQUIRE(!pending_, "operation already in progress");
+    pending_ = true;
+    ++begun_;
+    fail_ = request.params.count("fail") > 0 ||
+            (scenario_ == "fail-first" && begun_ == 1);
+    auto x = request.params.find("x");
+    const double input = x == request.params.end() ? 1.0 : x->second;
+    now_ += 0.5;
+    core::ServiceDecision d;
+    d.ok = true;
+    d.from_model = begun_ > 2;
+    d.plan = (seed_ + begun_) % 2 == 0 ? "local" : "remote";
+    d.placement = d.plan == "local" ? "local" : "s1";
+    d.fidelity = {{"level", static_cast<double>(begun_ % 3)}};
+    d.predicted_time_s = 0.1 * input * static_cast<double>(seed_);
+    d.predicted_energy_j = now_ * input;
+    d.log_utility = -input;
+    d.t = now_;
+    return d;
+  }
+
+  core::ServiceOpResult end_op() override {
+    SPECTRA_REQUIRE(pending_, "no operation in progress");
+    pending_ = false;
+    now_ += 0.25;
+    if (fail_) throw std::runtime_error("fake op failed");
+    ++completed_;
+    core::ServiceOpResult r;
+    r.ok = true;
+    r.seq = completed_;  // lags the daemon's seq once an op has failed
+    r.time_s = 0.25;
+    r.energy_j = 0.01 * static_cast<double>(seed_ + completed_);
+    r.t = now_;
+    return r;
+  }
+
+ private:
+  std::string scenario_;
+  std::uint64_t seed_;
+  std::uint64_t begun_ = 0;
+  std::uint64_t completed_ = 0;
+  bool pending_ = false;
+  bool fail_ = false;
+  double now_ = 1.0;
+};
+
+core::ServiceFactory fake_factory() {
+  return [](const std::string& app, const std::string& scenario,
+            std::uint64_t seed) -> std::unique_ptr<core::DecisionService> {
+    SPECTRA_REQUIRE(app == "fake", "unknown app: " + app);
+    return std::make_unique<FakeService>(scenario, seed);
+  };
+}
+
+std::string register_fake(const std::string& scenario = "baseline",
+                          std::uint64_t seed = 1) {
+  return encode_register_app(RegisterAppMsg{"fake", scenario, seed});
+}
+
+// Drives a SessionCore over fake sessions the way the poll shell does:
+// whole frames in, reply bytes out, lines into an in-memory WAL.
+class CoreDriver {
+ public:
+  explicit CoreDriver(ServeConfig config = {})
+      : core_(config, fake_factory()) {
+    core_.set_sink(&sink_);
+  }
+
+  SessionCore& core() { return core_; }
+  std::string wal() const { return wal_.str(); }
+  const SessionCore::Conn& conn(std::uint64_t id) { return conns_.at(id); }
+
+  // A new connection, known by the session id the core gave it.
+  std::uint64_t open() {
+    SessionCore::Conn conn;
+    core_.open(conn);
+    conns_.emplace(conn.sid, conn);
+    return conn.sid;
+  }
+
+  void close(std::uint64_t id) {
+    core_.close(conns_.at(id));
+    conns_.erase(id);
+  }
+
+  // The connection the last frame's resume took a session from, or 0.
+  std::uint64_t taken_from() const {
+    for (const auto& [id, conn] : conns_) {
+      if (&conn == taken_from_) return id;
     }
+    return 0;
   }
-  EXPECT_EQ(ok.op, "null.op");
+
+  // Rebuild every session of `text` as --resume does: lines appended from
+  // here on are the ones a restarted daemon would add to the WAL.
+  void restore(const std::string& text) {
+    core_.set_sink(nullptr);
+    for (const ReplaySession& sess : parse_record(text)) core_.restore(sess);
+    core_.set_sink(&sink_);
+  }
+
+  // One request frame on `conn`; returns the reply's bytes.
+  std::string send(std::uint64_t conn, const std::string& request) {
+    FrameReader in;
+    in.feed(request);
+    OutBuffer out;
+    taken_from_ = core_.on_frame(conns_.at(conn), *in.next(), out);
+    return std::string(out.data(), out.pending_bytes());
+  }
+
+  Frame call(std::uint64_t conn, const std::string& request) {
+    FrameReader in;
+    in.feed(send(conn, request));
+    return *in.next();
+  }
+
+  // The reply payload, which must be of type `expect`.
+  std::string reply(std::uint64_t conn, const std::string& request,
+                    MsgType expect) {
+    const Frame f = call(conn, request);
+    EXPECT_EQ(f.type, expect)
+        << (f.type == MsgType::kError ? decode_error(f.payload).message : "");
+    return f.payload;
+  }
+
+  ErrorMsg error(std::uint64_t conn, const std::string& request) {
+    const Frame f = call(conn, request);
+    EXPECT_EQ(f.type, MsgType::kError);
+    return decode_error(f.payload);
+  }
+
+  // A new, greeted connection; hello offers its id as the session id.
+  std::uint64_t connect() {
+    const std::uint64_t conn = open();
+    const HelloOkMsg ok = decode_hello_ok(
+        reply(conn, encode_hello(HelloMsg{}), MsgType::kHelloOk));
+    EXPECT_EQ(ok.session_id, conn);
+    return conn;
+  }
+
+ private:
+  std::ostringstream wal_;
+  obs::TraceSink sink_{wal_};
+  SessionCore core_;
+  std::map<std::uint64_t, SessionCore::Conn> conns_;  // stable addresses
+  SessionCore::Conn* taken_from_ = nullptr;
+};
+
+TEST(SessionCoreTest, SessionOverloadShedsWithRetryableError) {
+  ServeConfig cfg;
+  cfg.max_sessions = 1;
+  CoreDriver d(cfg);
+  const std::uint64_t first = d.connect();
+  EXPECT_EQ(decode_register_ok(
+                d.reply(first, register_fake(), MsgType::kRegisterOk))
+                .op,
+            "fake.op");
+
+  const std::uint64_t second = d.connect();
+  const ErrorMsg e = d.error(second, register_fake());
+  EXPECT_EQ(e.code, ErrorCode::kOverloaded);
+  EXPECT_TRUE(retryable(e.code));
+  // The refusal is in-band: the connection is still usable...
+  EXPECT_EQ(decode_status_ok(
+                d.reply(second, encode_status(), MsgType::kStatusOk))
+                .sessions_active,
+            1u);
+  // ...and capacity freed by the first client can be claimed.
+  d.close(first);
+  d.reply(second, register_fake(), MsgType::kRegisterOk);
+  EXPECT_TRUE(decode_begin_ok(d.reply(second, encode_begin_op(BeginOpMsg{}),
+                                      MsgType::kBeginOk))
+                  .ok);
+  EXPECT_TRUE(
+      decode_end_ok(d.reply(second, encode_end_op(), MsgType::kEndOk)).ok);
+  EXPECT_EQ(d.core().stats().sheds, 1u);
+  EXPECT_NE(d.wal().find("\"type\":\"serve.shed\""), std::string::npos);
+}
+
+TEST(SessionCoreTest, SessionSurvivesDisconnectAndResumes) {
+  CoreDriver d;
+  const std::uint64_t sid = d.connect();
+  d.reply(sid, register_fake("baseline", 5), MsgType::kRegisterOk);
+  d.reply(sid, encode_begin_op(BeginOpMsg{}), MsgType::kBeginOk);
+  d.reply(sid, encode_end_op(), MsgType::kEndOk);
+  d.close(sid);
+
+  const std::uint64_t back = d.connect();
+  const ResumeOkMsg ok = decode_resume_ok(
+      d.reply(back, encode_resume(ResumeMsg{sid}), MsgType::kResumeOk));
+  EXPECT_EQ(ok.op, "fake.op");
   EXPECT_EQ(ok.seq_begun, 1u);
   EXPECT_EQ(ok.seq_completed, 1u);
+  EXPECT_EQ(d.conn(back).sid, sid);
   // The resumed session continues its history: next op is seq 2.
-  ASSERT_TRUE(back.begin_op(BeginOpMsg{}).ok);
-  EXPECT_EQ(back.end_op().seq, 2u);
-  back.close();
+  d.reply(back, encode_begin_op(BeginOpMsg{}), MsgType::kBeginOk);
+  EXPECT_EQ(
+      decode_end_ok(d.reply(back, encode_end_op(), MsgType::kEndOk)).seq, 2u);
 
-  const Server::Stats stats = fx.stop();
-  EXPECT_GE(stats.parked, 1u);
-  EXPECT_EQ(stats.resumed, 1u);
+  // A resume while the session is still attached takes it over; the old
+  // connection is to be closed and has no session left.
+  const std::uint64_t thief = d.connect();
+  d.reply(thief, encode_resume(ResumeMsg{sid}), MsgType::kResumeOk);
+  EXPECT_EQ(d.taken_from(), back);
+  EXPECT_EQ(d.error(back, encode_begin_op(BeginOpMsg{})).code,
+            ErrorCode::kGeneric);
+  d.reply(thief, encode_begin_op(BeginOpMsg{}), MsgType::kBeginOk);
+
+  const Server::Stats& stats = d.core().stats();
+  EXPECT_EQ(stats.parked, 1u);
+  EXPECT_EQ(stats.resumed, 2u);
 }
 
-TEST(ServerTest, ResumeOfUnknownSessionIsCleanInBandError) {
-  ServerFixture fx;
-  BlockingClient client("127.0.0.1", fx.port());
-  client.hello("guesser");
-  try {
-    client.resume(424242);
-    FAIL() << "expected kUnknownSession";
-  } catch (const ServerError& e) {
-    EXPECT_EQ(e.code(), ErrorCode::kUnknownSession);
-  }
+TEST(SessionCoreTest, ResumeOfUnknownSessionIsCleanInBandError) {
+  CoreDriver d;
+  const std::uint64_t conn = d.connect();
+  EXPECT_EQ(d.error(conn, encode_resume(ResumeMsg{424242})).code,
+            ErrorCode::kUnknownSession);
   // In-band: the connection can still register normally.
-  EXPECT_EQ(client.register_app("nullop", "baseline", 1).op, "null.op");
+  EXPECT_EQ(decode_register_ok(
+                d.reply(conn, register_fake(), MsgType::kRegisterOk))
+                .op,
+            "fake.op");
 }
 
-TEST(ServerTest, ReissuedSeqAnsweredFromCacheWithoutReExecution) {
-  ServerFixture fx;
-  BlockingClient client("127.0.0.1", fx.port());
-  client.hello("reissue");
-  client.register_app("nullop", "baseline", 3);
+TEST(SessionCoreTest, ReissuedSeqAnsweredFromCacheWithoutReExecution) {
+  CoreDriver d;
+  const std::uint64_t conn = d.connect();
+  d.reply(conn, register_fake("baseline", 3), MsgType::kRegisterOk);
 
   BeginOpMsg begin;
   begin.seq = 1;
-  const core::ServiceDecision d1 = client.begin_op(begin);
-  // Re-issue the same key: byte-identical cached reply, no re-execution.
-  const core::ServiceDecision d2 = client.begin_op(begin);
-  EXPECT_EQ(d2.plan, d1.plan);
-  EXPECT_EQ(d2.placement, d1.placement);
-  EXPECT_DOUBLE_EQ(d2.t, d1.t);
-  EXPECT_DOUBLE_EQ(d2.log_utility, d1.log_utility);
-
-  const core::ServiceOpResult r1 = client.end_op(1);
-  const core::ServiceOpResult r2 = client.end_op(1);
-  EXPECT_EQ(r1.seq, 1u);
-  EXPECT_EQ(r2.seq, 1u);
-  EXPECT_DOUBLE_EQ(r2.t, r1.t);
+  const std::string d1 =
+      d.reply(conn, encode_begin_op(begin), MsgType::kBeginOk);
+  // Re-issue the same key: the identical cached reply, no re-execution.
+  EXPECT_EQ(d.reply(conn, encode_begin_op(begin), MsgType::kBeginOk), d1);
+  const std::string r1 = d.reply(conn, encode_end_op(1), MsgType::kEndOk);
+  EXPECT_EQ(d.reply(conn, encode_end_op(1), MsgType::kEndOk), r1);
+  EXPECT_EQ(decode_end_ok(r1).seq, 1u);
 
   // A seq that is neither cached nor next is rejected, in-band.
   BeginOpMsg bad;
   bad.seq = 7;
-  try {
-    client.begin_op(bad);
-    FAIL() << "expected kBadSeq";
-  } catch (const ServerError& e) {
-    EXPECT_EQ(e.code(), ErrorCode::kBadSeq);
-  }
+  EXPECT_EQ(d.error(conn, encode_begin_op(bad)).code, ErrorCode::kBadSeq);
   // Still usable: the next in-order op proceeds.
   BeginOpMsg next;
   next.seq = 2;
-  EXPECT_TRUE(client.begin_op(next).ok);
-  EXPECT_EQ(client.end_op(2).seq, 2u);
-  client.close();
+  d.reply(conn, encode_begin_op(next), MsgType::kBeginOk);
+  EXPECT_EQ(
+      decode_end_ok(d.reply(conn, encode_end_op(2), MsgType::kEndOk)).seq, 2u);
 
-  const Server::Stats stats = fx.stop();
-  EXPECT_EQ(stats.replayed_cached, 2u);
-  EXPECT_EQ(stats.ops, 2u);  // the re-issues did not re-run anything
+  EXPECT_EQ(d.core().stats().replayed_cached, 2u);
+  EXPECT_EQ(d.core().stats().ops, 2u);  // the re-issues did not re-run
+  const std::vector<ReplaySession> recorded = parse_record(d.wal());
+  ASSERT_EQ(recorded.size(), 1u);
+  EXPECT_EQ(recorded[0].ops.size(), 2u);  // nor were they re-recorded
+}
+
+// The differential crash test. Seeded sequences of register, begin, end,
+// re-issued and bad seqs, disconnects, resumes (also of a session another
+// connection still holds) and failed ends run into one core. Each sequence
+// is cut at a random point, where a second core is rebuilt from the first
+// one's WAL text; the rest of the sequence then runs into both, and every
+// later reply and the canonical WAL must be byte-identical.
+//
+// At the cut every live connection drops in both cores, and its client
+// reconnects and resumes, as it must after a crash. The rebuilt core's
+// next connection id lags: the WAL records no id of a connection that
+// never registered a session (here, the connections that resumed one).
+// The test opens that many connections on the rebuilt core first, and
+// checks that the lag is exactly those.
+//
+// Evictions are out of scope, so max_parked is above any session count
+// here: replay still ignores serve.close park_evicted lines, and a rebuilt
+// core would bring an evicted session back.
+TEST(SessionCoreTest, CoreRebuiltFromWalAnswersLikeUncrashedCore) {
+  enum Kind { kRegister, kBegin, kEnd, kReissue, kBadSeq, kDrop, kResume };
+  struct Step {
+    Kind kind;
+    std::size_t client;
+    std::string request;  // the frame sent; empty for kDrop and kResume
+  };
+  constexpr std::size_t kClients = 4;
+  constexpr int kSequences = 256;
+  std::size_t failed_ends = 0, takeovers = 0, cached = 0, lagged = 0;
+
+  for (int seq_no = 0; seq_no < kSequences; ++seq_no) {
+    util::Rng rng(static_cast<std::uint64_t>(seq_no) + 1);
+    // The script: every step valid or deliberately bad for its client.
+    struct Model {
+      bool registered = false, connected = false;
+      std::uint64_t begun = 0, completed = 0;
+    };
+    Model model[kClients];
+    std::vector<Step> steps;
+    const int length = static_cast<int>(rng.uniform_int(10, 40));
+    for (int i = 0; i < length; ++i) {
+      const std::size_t k =
+          static_cast<std::size_t>(rng.uniform_int(0, kClients - 1));
+      Model& m = model[k];
+      Step step{kRegister, k, ""};
+      const double r = rng.uniform();
+      if (!m.registered) {
+        step.request = register_fake(r < 0.3 ? "fail-first" : "baseline",
+                                     1 + rng.uniform_int(0, 4));
+        m.registered = m.connected = true;
+      } else if (!m.connected || r < 0.08) {
+        step.kind = kResume;
+        m.connected = true;
+      } else if (r < 0.16) {
+        step.kind = kDrop;
+        m.connected = false;
+      } else if (r < 0.26 && m.begun > 0) {
+        step.kind = kReissue;
+        BeginOpMsg again;
+        again.seq = m.begun;
+        step.request = rng.uniform() < 0.5 || m.completed == 0
+                           ? encode_begin_op(again)
+                           : encode_end_op(m.completed);
+      } else if (r < 0.32) {
+        step.kind = kBadSeq;
+        BeginOpMsg bad;
+        bad.seq = m.begun + 2;
+        step.request = rng.uniform() < 0.5 ? encode_begin_op(bad)
+                                            : encode_end_op(m.completed + 3);
+      } else if (m.begun == m.completed) {
+        step.kind = kBegin;
+        BeginOpMsg begin;
+        begin.params = {{"x", rng.uniform(0.5, 4.0)}};
+        if (rng.uniform() < 0.15) begin.params["fail"] = 1.0;
+        step.request = encode_begin_op(begin);
+        ++m.begun;
+      } else {
+        step.kind = kEnd;
+        step.request = encode_end_op();
+        ++m.completed;
+      }
+      steps.push_back(std::move(step));
+    }
+
+    ServeConfig cfg;
+    cfg.max_parked = 1024;
+    CoreDriver a(cfg), b(cfg);
+    std::uint64_t sid[kClients] = {};
+    std::uint64_t conn_a[kClients] = {}, conn_b[kClients] = {};
+    std::uint64_t last_id = 0, max_sid = 0;
+    std::size_t resumes_since_register = 0;
+    // Runs one step into `d`; returns the bytes of every reply it got.
+    auto run = [&](CoreDriver& d, std::uint64_t* conns, const Step& s) {
+      std::uint64_t& conn = conns[s.client];
+      std::string replies;
+      switch (s.kind) {
+        case kDrop:
+          d.close(conn);
+          conn = 0;
+          return replies;
+        case kRegister:
+        case kResume:
+          // connect() checks hello offered the new id; the id joins the
+          // transcript, so the two cores' hello replies are compared too.
+          conn = last_id = d.connect();
+          replies = "hello " + std::to_string(conn) + " ";
+          if (s.kind == kRegister) {
+            sid[s.client] = max_sid = conn;
+            resumes_since_register = 0;
+            return replies + d.send(conn, s.request);
+          }
+          ++resumes_since_register;
+          replies += d.send(conn, encode_resume(ResumeMsg{sid[s.client]}));
+          if (const std::uint64_t old = d.taken_from()) {
+            // The client's own earlier connection, which the shell closes.
+            ++takeovers;
+            d.close(old);
+          }
+          return replies;
+        default:
+          replies = d.send(conn, s.request);
+          if (s.kind == kEnd &&
+              replies[4] == static_cast<char>(MsgType::kEndOk) &&
+              replies[5] == 0) {
+            ++failed_ends;  // the end_ok payload starts with its ok byte
+          }
+          return replies;
+      }
+    };
+    const std::size_t cut =
+        static_cast<std::size_t>(rng.uniform_int(0, length));
+    for (std::size_t i = 0; i < cut; ++i) run(a, conn_a, steps[i]);
+
+    // The crash: b is rebuilt from a's WAL, its id counter caught up.
+    const std::string prefix = a.wal();
+    b.restore(prefix);
+    ASSERT_EQ(last_id - max_sid, resumes_since_register) << "seq " << seq_no;
+    lagged += last_id - max_sid;
+    for (std::uint64_t id = max_sid; id < last_id; ++id) {
+      b.close(b.open());
+    }
+    // Every live connection drops; its client reconnects and resumes.
+    std::string transcript_a, transcript_b;
+    for (std::size_t k = 0; k < kClients; ++k) {
+      if (conn_a[k] == 0) continue;
+      a.close(conn_a[k]);
+      const Step resume{kResume, k, ""};
+      transcript_a += run(a, conn_a, resume);
+      transcript_b += run(b, conn_b, resume);
+    }
+    for (std::size_t i = cut; i < steps.size(); ++i) {
+      if (steps[i].kind == kReissue) ++cached;
+      transcript_a += run(a, conn_a, steps[i]) + "|";
+      transcript_b += run(b, conn_b, steps[i]) + "|";
+    }
+    ASSERT_EQ(transcript_b, transcript_a) << "seq " << seq_no << " cut " << cut;
+    ASSERT_EQ(canonicalize_record(prefix + b.wal()),
+              canonicalize_record(a.wal()))
+        << "seq " << seq_no << " cut " << cut;
+  }
+  // The sequences exercised what they are meant to.
+  EXPECT_GT(failed_ends, 0u);
+  EXPECT_GT(takeovers, 0u);
+  EXPECT_GT(cached, 0u);
+  EXPECT_GT(lagged, 0u);
 }
 
 // ---- server: crash recovery from the write-ahead log ---------------------
@@ -972,6 +1296,82 @@ TEST(ServerTest, WalResumeContinuesRecordByteIdentically) {
       << "crash + --resume diverged from the uninterrupted run";
 }
 
+// An end_op that throws still ends its op: the client gets ok=false at the
+// op's seq, the WAL records it, and the session goes on at the next seq.
+// --resume and in-process replay of that WAL reproduce it, and a resume
+// whose replayed outcome differs from the record names the op.
+TEST(ServerTest, FailedEndEndsTheOpAndReplays) {
+  const std::string wal = ::testing::TempDir() + "/serve_failed_end.jsonl";
+  std::remove(wal.c_str());
+  std::uint64_t sid = 0;
+  {
+    ServeConfig cfg;
+    cfg.record_path = wal;
+    ServerFixture fx(std::move(cfg), fake_factory());
+    BlockingClient client("127.0.0.1", fx.port());
+    sid = client.hello("failing").session_id;
+    client.register_app("fake", "fail-first", 1);
+    ASSERT_TRUE(client.begin_op(BeginOpMsg{}).ok);
+    const core::ServiceOpResult failed = client.end_op();
+    EXPECT_FALSE(failed.ok);
+    EXPECT_EQ(failed.seq, 1u);
+    EXPECT_EQ(failed.time_s, 0.0);
+    EXPECT_EQ(failed.energy_j, 0.0);
+    EXPECT_DOUBLE_EQ(failed.t, 1.75);  // the session's virtual time
+    for (std::uint64_t seq = 2; seq <= 3; ++seq) {
+      ASSERT_TRUE(client.begin_op(BeginOpMsg{}).ok);
+      const core::ServiceOpResult r = client.end_op();
+      EXPECT_TRUE(r.ok);
+      EXPECT_EQ(r.seq, seq);  // the daemon's seq, not the service's count
+    }
+    client.close();
+    EXPECT_EQ(fx.stop().ops, 2u);
+  }
+  const std::string text = read_file(wal);
+  EXPECT_NE(text.find("\"seq\":1,\"ok\":false"), std::string::npos) << text;
+  {
+    ServeConfig cfg;
+    cfg.resume_path = wal;
+    ServerFixture fx(std::move(cfg), fake_factory());
+    BlockingClient client("127.0.0.1", fx.port());
+    client.hello("back");
+    const ResumeOkMsg ok = client.resume(sid);
+    EXPECT_EQ(ok.seq_begun, 3u);
+    EXPECT_EQ(ok.seq_completed, 3u);
+    client.close();
+    const Server::Stats stats = fx.stop();
+    EXPECT_EQ(stats.wal_sessions, 1u);
+    EXPECT_EQ(stats.wal_ops, 3u);
+    EXPECT_EQ(stats.ops, 0u);  // replayed ops are not ops served
+  }
+  ReplayConfig rc;
+  rc.record_path = wal;
+  const ReplayResult result = run_replay(rc, fake_factory());
+  EXPECT_TRUE(result.identical)
+      << "first divergence at canonical line " << result.mismatch_line
+      << "\n  expected: " << result.expected_line
+      << "\n  actual:   " << result.actual_line;
+  EXPECT_EQ(result.ops, 3u);
+
+  // A record claiming op 1 succeeded does not reproduce.
+  const std::string forged = wal + ".forged";
+  std::string lie = text;
+  lie.replace(lie.find("\"seq\":1,\"ok\":false"), 18, "\"seq\":1,\"ok\":true");
+  std::ofstream(forged, std::ios::binary) << lie;
+  ServeConfig cfg;
+  cfg.resume_path = forged;
+  Server server(std::move(cfg), fake_factory());
+  try {
+    server.bind();
+    ADD_FAILURE() << "--resume accepted an outcome that does not replay";
+  } catch (const util::ContractError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "session " + std::to_string(sid) + " op 1 was recorded ok"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 // A bad session input is refused at begin_op, before anything is begun or
 // written to the WAL: the session stays usable, and --resume of that WAL
 // brings it back.
@@ -986,8 +1386,8 @@ TEST(ServerTest, BadSessionInputRefusedBeforeBegin) {
     const char* error;
   };
   std::vector<Case> cases(3);
-  cases[0] = {"speech", {}, "utt_len must be finite and > 0"};
-  for (double v : {-1.0, 0.0, nan, inf}) {
+  cases[0] = {"speech", {}, "utt_len must be in (0, 60]"};
+  for (double v : {-1.0, 0.0, nan, inf, 60.5, 1e12, 1e300}) {
     cases[0].bad.emplace_back();
     cases[0].bad.back().params = {{"utt_len", v}};
   }
